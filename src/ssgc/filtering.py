@@ -9,7 +9,9 @@ covariance (the classic innovations algorithm, monotone from above), which
 converges to the stabilizing solution even when Phi_0 is singular or the
 filter is non-minimum-phase, situations where the zero-started recursion
 either cannot start (singular innovation covariance at iterate zero) or is
-drawn to a non-stabilizing fixed point.
+drawn to a non-stabilizing fixed point.  The all-pass split reuses the same
+solve: its minimum-phase factor is the filtered model of white noise (FIR
+filter) or of the identity-filtered model (ISS filter).
 """
 
 from __future__ import annotations
@@ -144,27 +146,6 @@ class AllPassDecomposition:
     reconstruction_check: float
 
 
-def _stabilizing_factor(a, c, q, r, s, tol: float, max_iter: int, context: str):
-    """Spectral-factorization Riccati solve started from the state covariance."""
-    pi = solve_lyapunov(a, q)
-    try:
-        p, k, v, _, residual, _ = riccati_fixed_point(
-            a, c, q, r, s, tol=tol, max_iter=max_iter, p0=pi
-        )
-    except (PreconditionError, ConvergenceError) as exc:
-        raise ConvergenceError(
-            f"{context}: the process is rank deficient (its filter determinant "
-            "may vanish on the unit circle)"
-        ) from exc
-    rho = spectral_radius(a - k @ c)
-    if rho >= 1.0 - 1e-10 or residual > 10.0 * tol * max(1.0, float(np.linalg.norm(p, "fro"))):
-        raise ConvergenceError(
-            f"{context}: no stabilizing factorization found "
-            f"(error spectral radius {rho:.6g}, residual {residual:.3g})"
-        )
-    return k, v
-
-
 def apply_fir_filter(
     joint: ISSModel,
     filt: FirFilter,
@@ -176,7 +157,10 @@ def apply_fir_filter(
     Parameters
     ----------
     joint : ISSModel
-        Stationary input model; its partition (if any) is preserved.
+        Stationary input model; its partition (if any) is preserved.  A model
+        with n = 0 states is white noise of covariance V.  K need not be
+        stabilizing, so a non-minimum-phase parameterization is accepted and
+        re-factored.
     filt : FirFilter
         Filter with the same output dimension as the model.
     tol : float
@@ -188,13 +172,14 @@ def apply_fir_filter(
     -------
     ISSModel
         Model of the filtered process on the augmented state (original state
-        plus the last q outputs).  Its spectrum equals Phi f Phi*.
+        plus the last q outputs).  Its spectrum equals Phi f Phi*, and its gain
+        is the stabilizing (minimum-phase) one.
 
     Raises
     ------
     ConvergenceError
         If the filtered process is rank deficient (det Phi with unit-circle
-        zeros), so that no full-rank innovations model exists.
+        zeros, or a singular V), so that no full-rank innovations model exists.
     """
     require_stationary(joint)
     if filt.p != joint.p:
@@ -222,13 +207,27 @@ def apply_fir_filter(
 
     gv = g @ joint.V
     q_mat = gv @ g.T
+    q_mat = 0.5 * (q_mat + q_mat.T)
     r_mat = phi0 @ joint.V @ phi0.T
+    r_mat = 0.5 * (r_mat + r_mat.T)
     s_mat = gv @ phi0.T
 
-    k_gain, v = _stabilizing_factor(
-        a, c, 0.5 * (q_mat + q_mat.T), 0.5 * (r_mat + r_mat.T), s_mat,
-        tol, max_iter, "apply_fir_filter",
-    )
+    pi = solve_lyapunov(a, q_mat)
+    try:
+        p_fix, k_gain, v, _, residual, _ = riccati_fixed_point(
+            a, c, q_mat, r_mat, s_mat, tol=tol, max_iter=max_iter, p0=pi
+        )
+    except (PreconditionError, ConvergenceError) as exc:
+        raise ConvergenceError(
+            "the filtered process is rank deficient (its filter determinant "
+            "may vanish on the unit circle)"
+        ) from exc
+    rho = spectral_radius(a - k_gain @ c)
+    if rho >= 1.0 - 1e-10 or residual > 10.0 * tol * max(1.0, float(np.linalg.norm(p_fix, "fro"))):
+        raise ConvergenceError(
+            "no stabilizing factorization of the filtered process found "
+            f"(error spectral radius {rho:.6g}, residual {residual:.3g})"
+        )
     return ISSModel(a, c, k_gain, v, partition=joint.partition)
 
 
@@ -287,51 +286,23 @@ def allpass_decompose(
     if isinstance(filter_model, ISSModel):
         if sigma is not None:
             raise ValueError("sigma applies to FIR filters only; ISS input carries V")
-        require_stationary(filter_model)
-        sig = filter_model.V
-        ks = filter_model.K @ sig
-        k_gain, v_o = _stabilizing_factor(
-            filter_model.A, filter_model.C, ks @ filter_model.K.T, sig, ks,
-            tol, max_iter, "allpass_decompose",
-        )
-        min_phase = ISSModel(filter_model.A, filter_model.C, k_gain, v_o)
-        g_eval = filter_model.frequency_response(grid)
+        source, filt = filter_model, FirFilter.identity(filter_model.p)
     elif isinstance(filter_model, FirFilter):
         p = filter_model.p
         sig = np.eye(p) if sigma is None else np.asarray(sigma, dtype=float)
         if sig.shape != (p, p):
             raise ValueError("sigma shape does not match the filter dimension")
-        q = filter_model.q
-        phi0 = filter_model.taps[0]
-        if q == 0:
-            v_o = phi0 @ sig @ phi0.T
-            try:
-                np.linalg.cholesky(0.5 * (v_o + v_o.T))
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("static filter is rank deficient") from exc
-            min_phase = ISSModel(np.zeros((1, 1)), np.zeros((p, 1)), np.zeros((1, p)), v_o)
-        else:
-            nq = q * p
-            a = np.zeros((nq, nq))
-            for k in range(1, q):
-                a[k * p : (k + 1) * p, (k - 1) * p : k * p] = np.eye(p)
-            c = np.hstack([filter_model.taps[k] for k in range(1, q + 1)])
-            q_mat = np.zeros((nq, nq))
-            q_mat[:p, :p] = sig
-            s_mat = np.zeros((nq, p))
-            s_mat[:p, :] = sig @ phi0.T
-            r_mat = phi0 @ sig @ phi0.T
-            k_gain, v_o = _stabilizing_factor(
-                a, c, q_mat, 0.5 * (r_mat + r_mat.T), s_mat, tol, max_iter,
-                "allpass_decompose",
-            )
-            min_phase = ISSModel(a, c, k_gain, v_o)
-        g_eval = filter_model.frequency_response(grid)
+        # White noise of covariance sigma (no state) passed through the filter.
+        source = ISSModel(np.zeros((0, 0)), np.zeros((p, 0)), np.zeros((0, p)), sig)
+        filt = filter_model
     else:
         raise TypeError("filter_model must be an ISSModel or a FirFilter")
 
+    sig = source.V
+    min_phase = apply_fir_filter(source, filt, tol, max_iter)
+    g_eval = filter_model.frequency_response(grid)
     go_eval = min_phase.frequency_response(grid)
-    j = np.linalg.cholesky(0.5 * (sig + sig.T))
+    j = np.linalg.cholesky(sig)
     j_o = np.linalg.cholesky(min_phase.V)
     e_values = np.linalg.solve(go_eval @ j_o, g_eval @ j)
 

@@ -29,6 +29,7 @@ from .model import (
     ISSModel,
     JointPartition,
     SpectralCurve,
+    _periodic_mean,
     default_grid,
     require_stationary,
 )
@@ -102,35 +103,15 @@ def _logdet_pd(mat: np.ndarray, what: str) -> float:
 def instantaneous_gem(sigma, partition: JointPartition) -> float:
     """Instantaneous measure ln |V_x||V_y| / |V| of a joint covariance.
 
-    Evaluates both the determinant form and the canonical-correlation form
-    -sum ln(1 - rho_i^2) and cross-checks them to 1e-10 before returning.
+    Raises PreconditionError unless V and both diagonal blocks are positive
+    definite.
     """
     v = np.asarray(sigma, dtype=float)
     if v.shape != (partition.p, partition.p):
         raise ValueError("covariance shape does not match the partition")
     vx = v[partition.x, partition.x]
     vy = v[partition.y, partition.y]
-    vxy = v[partition.x, partition.y]
-
-    det_form = _logdet_pd(vx, "V_x") + _logdet_pd(vy, "V_y") - _logdet_pd(v, "V")
-
-    # Canonical correlations between the two innovation blocks.
-    eigvals, vecs = np.linalg.eigh(vy)
-    if eigvals.min() <= 0.0:
-        raise PreconditionError("V_y is not positive definite")
-    vy_isqrt = (vecs / np.sqrt(eigvals)) @ vecs.T
-    cross = vy_isqrt @ vxy.T @ np.linalg.solve(vx, vxy) @ vy_isqrt
-    rho2 = np.clip(np.linalg.eigvalsh(0.5 * (cross + cross.T)), 0.0, None)
-    if rho2.max(initial=0.0) >= 1.0:
-        raise PreconditionError("joint covariance is singular across the partition")
-    canonical_form = -float(np.sum(np.log1p(-rho2)))
-
-    if abs(det_form - canonical_form) > 1e-10:
-        raise RuntimeError(
-            "instantaneous measure cross-check failed: determinant form "
-            f"{det_form:.15g} vs canonical form {canonical_form:.15g}"
-        )
-    return det_form
+    return _logdet_pd(vx, "V_x") + _logdet_pd(vy, "V_y") - _logdet_pd(v, "V")
 
 
 def gem_time_domain(joint: ISSModel) -> GemSummary:
@@ -156,7 +137,7 @@ def gem_time_domain(joint: ISSModel) -> GemSummary:
 
     fyx = ld_ox - ld_vx
     fxy = ld_oy - ld_vy
-    fydx = instantaneous_gem(joint.V, part)
+    fydx = ld_vx + ld_vy - ld_v
     fxoy = ld_ox + ld_oy - ld_v
     return GemSummary(fyx, fxy, fydx, fxoy)
 
@@ -219,12 +200,7 @@ def gem_frequency(
     vals = _logdet_eigh(f_t, "block spectrum") - _logdet_eigh(f_e, "intrinsic spectrum")
     vals = np.asarray(vals, dtype=float)
     curve = SpectralCurve(np.asarray(grid, dtype=float), vals)
-
-    lam = curve.grid
-    gaps = np.diff(np.concatenate([lam, [lam[0] + 2.0 * np.pi]]))
-    weights = 0.5 * (gaps + np.roll(gaps, 1))
-    integral = float(np.sum(weights * vals) / (2.0 * np.pi))
-    return FrequencyGem(curve, integral)
+    return FrequencyGem(curve, _periodic_mean(curve.grid, vals))
 
 
 def gc_classify(joint: ISSModel, tol: float = 1e-8) -> GcFlags:

@@ -79,6 +79,17 @@ def default_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
+def _periodic_mean(grid: np.ndarray, values: np.ndarray) -> float:
+    """(1/2pi) times the trapezoid-rule integral of values over a periodic grid.
+
+    The grid is read as one period starting at grid[0]; on a uniform grid the
+    weights are equal and this is the plain mean.
+    """
+    gaps = np.diff(np.concatenate([grid, [grid[0] + 2.0 * np.pi]]))
+    weights = 0.5 * (gaps + np.roll(gaps, 1))
+    return float(np.sum(weights * values) / (2.0 * np.pi))
+
+
 @dataclass(frozen=True)
 class JointPartition:
     """Split of a p-dimensional output into a leading X block and a trailing Y block."""

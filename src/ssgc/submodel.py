@@ -4,7 +4,7 @@ A stationary joint ISS model (A, C, K, V) restricted to one output block is
 again an ISS process on the same state: keeping rows `idx` of the output, the
 block model solves the DARE of the state-space pair
 
-    (A, C_idx, [B_e B_e^T, V_idx, K V[:, idx]]),   B_e = K chol(V),
+    (A, C_idx, [K V K^T, V_idx, K V[:, idx]]),
 
 whose innovation covariance is the block's one-step prediction error
 covariance given its own past only.
@@ -15,21 +15,25 @@ from __future__ import annotations
 import numpy as np
 
 from .dare import solve_dare
-from .model import ISSModel, SpectralCurve, require_stationary, spectrum_of_iss
+from .model import (
+    ISSModel,
+    SpectralCurve,
+    SSModel,
+    _periodic_mean,
+    require_stationary,
+    spectrum_of_iss,
+)
 
 __all__ = ["extract_submodel", "submodel_spectrum", "log_det_spectrum_integral"]
 
 
-def _marginal_model(joint: ISSModel, idx: np.ndarray, tol: float | None = None) -> ISSModel:
-    from .model import SSModel
-
+def _marginal_model(joint: ISSModel, idx: np.ndarray) -> ISSModel:
     c_sub = joint.C[idx, :]
     r_sub = joint.V[np.ix_(idx, idx)]
-    s_sub = joint.K @ joint.V[:, idx]
-    b_e = joint.K @ np.linalg.cholesky(joint.V)
-    q = b_e @ b_e.T
-    ss = SSModel(joint.A, c_sub, 0.5 * (q + q.T), r_sub, s_sub)
-    sol = solve_dare(ss) if tol is None else solve_dare(ss, tol=tol)
+    kv = joint.K @ joint.V
+    q = kv @ joint.K.T
+    ss = SSModel(joint.A, c_sub, 0.5 * (q + q.T), r_sub, kv[:, idx])
+    sol = solve_dare(ss)
     return ISSModel(joint.A, c_sub, sol.K, sol.V, partition=None)
 
 
@@ -91,8 +95,4 @@ def log_det_spectrum_integral(curve: SpectralCurve) -> float:
             raise ValueError("curve must be strictly positive definite at every grid point")
         logdets = logabs
 
-    lam = curve.grid
-    # Periodic trapezoid weights; reduces to the plain mean on a uniform grid.
-    gaps = np.diff(np.concatenate([lam, [lam[0] + 2.0 * np.pi]]))
-    weights = 0.5 * (gaps + np.roll(gaps, 1))
-    return float(np.sum(weights * logdets) / (2.0 * np.pi))
+    return _periodic_mean(curve.grid, logdets)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .downsample import downsample_iss
 from .gem import GemSummary, gem_time_domain
 from .model import ISSModel
@@ -43,7 +45,7 @@ def run_scenario_sweep(model: ISSModel, factors) -> SweepResult:
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one downsampling factor")
-    if any(not isinstance(m, int) or m < 1 for m in factors):
+    if any(not isinstance(m, (int, np.integer)) or m < 1 for m in factors):
         raise ValueError("downsampling factors must be positive integers")
     if any(b <= a for a, b in zip(factors, factors[1:])):
         raise ValueError("downsampling factors must be strictly increasing")
@@ -51,5 +53,5 @@ def run_scenario_sweep(model: ISSModel, factors) -> SweepResult:
     rows = []
     for m in factors:
         reduced = downsample_iss(model, m)
-        rows.append(SweepRow(m, gem_time_domain(reduced)))
+        rows.append(SweepRow(int(m), gem_time_domain(reduced)))
     return SweepResult(tuple(rows))

@@ -187,3 +187,20 @@ def own_noise_zeros(joint: ISSModel, direction: str = "y->x") -> np.ndarray:
     w = np.linalg.solve(joint.V[this, this], joint.V[this, other]).T
     k_e = joint.K[:, this] + joint.K[:, other] @ w
     return np.linalg.eigvals(joint.A - k_e @ joint.C[this])
+
+
+def instantaneous_gem_canonical(sigma: np.ndarray, partition: JointPartition) -> float:
+    """Instantaneous measure by canonical correlations, -sum ln(1 - rho_i^2).
+
+    The rho_i^2 are the eigenvalues of V_y^{-1/2} V_yx V_x^{-1} V_xy V_y^{-1/2};
+    an oracle for the determinant form ``instantaneous_gem`` evaluates.
+    """
+    v = np.asarray(sigma, dtype=float)
+    vx = v[partition.x, partition.x]
+    vy = v[partition.y, partition.y]
+    vxy = v[partition.x, partition.y]
+    eigvals, vecs = np.linalg.eigh(vy)
+    vy_isqrt = (vecs / np.sqrt(eigvals)) @ vecs.T
+    cross = vy_isqrt @ vxy.T @ np.linalg.solve(vx, vxy) @ vy_isqrt
+    rho2 = np.clip(np.linalg.eigvalsh(0.5 * (cross + cross.T)), 0.0, None)
+    return -float(np.sum(np.log1p(-rho2)))

@@ -131,6 +131,16 @@ def test_gem_requires_partition(tmp_path, capsys):
     assert "partition" in capsys.readouterr().err
 
 
+def test_gem_indefinite_covariance_exits_2(tmp_path, capsys):
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps({
+        "type": "iss", "A": [[0.5]], "C": [[1.0], [0.0]],
+        "K": [[0.2, 0.1]], "V": [[1.0, 2.0], [2.0, 1.0]], "px": 1,
+    }))
+    assert main(["gem", str(path)]) == 2
+    assert "not PSD" in capsys.readouterr().err
+
+
 def test_digits_flag_controls_formatting(model_file, capsys):
     assert main(["gem", model_file, "--digits", "12"]) == 0
     twelve = capsys.readouterr().out

@@ -182,11 +182,51 @@ def test_allpass_split_already_min_phase_is_identity_like():
     assert dec.allpass_check < 1e-8
 
 
+def test_allpass_split_of_static_filter_has_no_state():
+    phi0 = np.array([[1.0, 0.4], [-0.3, 2.0]])
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    dec = allpass_decompose(FirFilter(phi0[None]), sigma=sigma, grid=default_grid(64))
+    mdl = dec.minimum_phase_model
+    assert mdl.n == 0
+    np.testing.assert_allclose(mdl.V, phi0 @ sigma @ phi0.T, rtol=0, atol=1e-14)
+    assert dec.allpass_check < 1e-12
+    assert dec.reconstruction_check < 1e-12
+
+
+def test_allpass_split_with_singular_sigma_fails():
+    sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
+    taps = np.array([np.eye(2), [[0.5, 0.0], [0.2, 0.3]]])
+    for filt in (FirFilter.identity(2), FirFilter(taps)):
+        with pytest.raises(ConvergenceError):
+            allpass_decompose(filt, sigma=sigma)
+
+
+def test_allpass_split_of_two_lag_matrix_filter():
+    taps = np.array([
+        [[1.0, 0.3], [-0.2, 0.8]],
+        [[1.5, -0.4], [0.7, 2.0]],
+        [[0.3, 0.9], [-1.1, 0.4]],
+    ])
+    # det of sum_k taps[k] z^{q-k} (the convention of min_phase_check); a zero
+    # outside the unit circle makes the filter non-minimum-phase
+    det_poly = np.polysub(
+        np.polymul(taps[:, 0, 0], taps[:, 1, 1]), np.polymul(taps[:, 0, 1], taps[:, 1, 0])
+    )
+    assert np.abs(np.roots(det_poly)).max() > 1.0
+    sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
+    dec = allpass_decompose(FirFilter(taps), sigma=sigma, grid=default_grid(512))
+    mdl = dec.minimum_phase_model
+    assert dec.allpass_check < 1e-7
+    assert dec.reconstruction_check < 1e-7
+    assert np.abs(np.linalg.eigvals(mdl.A - mdl.K @ mdl.C)).max() < 1.0
+
+
 def test_allpass_split_of_iss_model():
     rng = np.random.default_rng(54)
     joint = random_iss(rng)
     grid = default_grid(512)
     dec = allpass_decompose(joint, grid=grid)
+    assert dec.minimum_phase_model.partition == joint.partition
     assert dec.allpass_check < 1e-7
     assert dec.reconstruction_check < 1e-7
     # an innovations model is already minimum phase, so the split returns it

@@ -17,7 +17,12 @@ from ssgc import (
     instantaneous_gem,
 )
 
-from support import random_iss, triangular_unidirectional, white_x_unidirectional
+from support import (
+    instantaneous_gem_canonical,
+    random_iss,
+    triangular_unidirectional,
+    white_x_unidirectional,
+)
 
 
 def test_measures_decompose_and_are_nonnegative():
@@ -52,6 +57,18 @@ def test_instantaneous_measure_input_checks():
         instantaneous_gem(np.eye(3), part)
     with pytest.raises(PreconditionError):
         instantaneous_gem(np.array([[1.0, 1.0], [1.0, 1.0]]), part)  # singular
+
+
+def test_instantaneous_measure_matches_canonical_correlations():
+    rng = np.random.default_rng(42)
+    for _ in range(24):
+        px, py = (int(d) for d in rng.integers(1, 3, size=2))
+        g = rng.standard_normal((px + py, px + py + 2))
+        v = g @ g.T
+        part = JointPartition(px, py)
+        assert instantaneous_gem(v, part) == pytest.approx(
+            instantaneous_gem_canonical(v, part), abs=1e-10
+        )
 
 
 def test_instantaneous_invariant_to_within_block_mixing():

@@ -6,8 +6,10 @@ import pytest
 from ssgc import (
     ISSModel,
     JointPartition,
+    PreconditionError,
     default_grid,
     extract_submodel,
+    gem_time_domain,
     log_det_spectrum_integral,
     spectrum_of_iss,
     submodel_spectrum,
@@ -81,3 +83,13 @@ def test_white_joint_model_extracts_white_marginal():
                      partition=JointPartition(1, 1))
     sub = extract_submodel(joint, "x")
     assert sub.V[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_indefinite_innovation_covariance_is_a_named_error():
+    # symmetric but indefinite V: no process has it as innovation covariance
+    joint = ISSModel(np.array([[0.5]]), np.array([[1.0], [0.0]]), np.array([[0.2, 0.1]]),
+                     np.array([[1.0, 2.0], [2.0, 1.0]]), partition=JointPartition(1, 1))
+    with pytest.raises(PreconditionError):
+        extract_submodel(joint, "x")
+    with pytest.raises(PreconditionError):
+        gem_time_domain(joint)

@@ -39,6 +39,15 @@ def test_sweep_validates_factors():
             run_scenario_sweep(mdl, bad)
 
 
+def test_sweep_accepts_numpy_integer_factors():
+    rng = np.random.default_rng(84)
+    mdl = random_iss(rng)
+    res = run_scenario_sweep(mdl, np.arange(1, 4))
+    assert [row.factor for row in res.rows] == [1, 2, 3]
+    assert all(type(row.factor) is int for row in res.rows)
+    assert res.rows == run_scenario_sweep(mdl, (1, 2, 3)).rows
+
+
 def test_sweep_requires_partition():
     mdl = ISSModel(np.zeros((1, 1)), np.ones((2, 1)), np.zeros((1, 2)), np.eye(2))
     with pytest.raises(ValueError):
