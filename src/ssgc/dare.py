@@ -82,7 +82,10 @@ def riccati_fixed_point(
     p = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
     history: list[np.ndarray] = [p.copy()] if keep_history else []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    converged = False
+    # Each pass computes the gain at p; the pass after convergence computes it
+    # at the returned P and gives the residual instead of a further step.
+    while True:
         cp = c @ p
         v = r + cp @ c.T
         v = 0.5 * (v + v.T)
@@ -91,31 +94,24 @@ def riccati_fixed_point(
         except np.linalg.LinAlgError as exc:
             raise PreconditionError(
                 "innovation covariance is not positive definite at iterate "
-                f"{iterations - 1}; the model violates the solver preconditions"
+                f"{iterations}; the model violates the solver preconditions"
             ) from exc
         m = a @ cp.T + s
         k = _chol_solve_t(chol, m)
         p_next = a @ p @ a.T + q - m @ k.T
+        if converged:
+            break
+        if iterations == max_iter:
+            raise ConvergenceError(f"Riccati recursion did not converge in {max_iter} iterations")
+        iterations += 1
         p_next = 0.5 * (p_next + p_next.T)
         delta = np.linalg.norm(p_next - p, "fro")
         p = p_next
         if keep_history:
             history.append(p.copy())
-        if delta <= tol * max(1.0, np.linalg.norm(p, "fro")):
-            break
-    else:
-        raise ConvergenceError(f"Riccati recursion did not converge in {max_iter} iterations")
+        converged = delta <= tol * max(1.0, np.linalg.norm(p, "fro"))
 
-    # Recompute the gain and covariance consistently at the returned P.
-    cp = c @ p
-    v = 0.5 * ((r + cp @ c.T) + (r + cp @ c.T).T)
-    try:
-        chol = np.linalg.cholesky(v)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("innovation covariance singular at the fixed point") from exc
-    m = a @ cp.T + s
-    k = _chol_solve_t(chol, m)
-    residual = float(np.linalg.norm(p - (a @ p @ a.T + q - m @ k.T), "fro"))
+    residual = float(np.linalg.norm(p - p_next, "fro"))
     return p, k, v, iterations, residual, tuple(history)
 
 

@@ -13,29 +13,29 @@ four measures satisfy F_{x,y} = F_{y->x} + F_{x->y} + F_{y.x}.  Frequency
 domain curves integrate back to the time-domain measures when the rotated
 own-noise transfer H_e = H_xx + H_xy W is minimum phase; each zero of det H_e
 outside the unit circle lowers the integral by twice its log modulus (Jensen).
+Every log determinant, of a covariance or of a spectrum at a grid point, is
+one Cholesky rule that raises a named PreconditionError; chi2_test reports the
+exact finite-sum chi-squared tail of its integer degrees of freedom.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
 from .model import (
     ISSModel,
     JointPartition,
     SpectralCurve,
+    _logdet_pd,
     _periodic_mean,
     default_grid,
     require_stationary,
 )
 from .submodel import extract_submodel
-
-EIG_CLIP = 1e-300
 
 __all__ = [
     "GemSummary",
@@ -92,14 +92,6 @@ class Chi2Result:
     pvalue: float
 
 
-def _logdet_pd(mat: np.ndarray, what: str) -> float:
-    try:
-        chol = np.linalg.cholesky(0.5 * (mat + mat.T))
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(f"{what} is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def instantaneous_gem(sigma, partition: JointPartition) -> float:
     """Instantaneous measure ln |V_x||V_y| / |V| of a joint covariance.
 
@@ -142,17 +134,6 @@ def gem_time_domain(joint: ISSModel) -> GemSummary:
     return GemSummary(fyx, fxy, fydx, fxoy)
 
 
-def _logdet_eigh(f: np.ndarray, what: str) -> np.ndarray:
-    """Pointwise ln det of a Hermitian PD matrix stack via eigenvalues."""
-    eig = np.linalg.eigvalsh(0.5 * (f + f.conj().transpose(0, 2, 1)))
-    if eig.min() <= 0.0:
-        raise PreconditionError(f"{what} is not positive definite at some grid point")
-    if eig.min() < EIG_CLIP:
-        warnings.warn(f"{what} has eigenvalues below {EIG_CLIP}; clipping before log")
-        eig = np.clip(eig, EIG_CLIP, None)
-    return np.sum(np.log(eig), axis=-1)
-
-
 def gem_frequency(
     joint: ISSModel,
     grid: np.ndarray | None = None,
@@ -193,12 +174,11 @@ def gem_frequency(
     h_e = h_tt + h_to @ w
     f_e = np.einsum("nij,jk,nlk->nil", h_e, v_tt, h_e.conj())
 
-    v_cond = v_oo - v_to.T @ np.linalg.solve(v_tt, v_to)
+    v_cond = v_oo - v_to.T @ w.T
     v_cond = 0.5 * (v_cond + v_cond.T)
     f_t = f_e + np.einsum("nij,jk,nlk->nil", h_to, v_cond, h_to.conj())
 
-    vals = _logdet_eigh(f_t, "block spectrum") - _logdet_eigh(f_e, "intrinsic spectrum")
-    vals = np.asarray(vals, dtype=float)
+    vals = _logdet_pd(f_t, "block spectrum") - _logdet_pd(f_e, "intrinsic spectrum")
     curve = SpectralCurve(np.asarray(grid, dtype=float), vals)
     return FrequencyGem(curve, _periodic_mean(curve.grid, vals))
 
@@ -207,28 +187,30 @@ def gc_classify(joint: ISSModel, tol: float = 1e-8) -> GcFlags:
     """Structural causality classification of a partitioned model.
 
     The dynamic influence y -> x is declared absent when C_x A^r K_y = 0 for
-    r = 0..n-1 (up to a scale-aware tolerance); the strong form additionally
-    requires the joint innovation covariance to be block diagonal.  Flags are
-    True when the corresponding influence is PRESENT.
+    every r, that is when C_x vanishes (relative to tol * ||C_x||) on an
+    orthonormal basis of the subspace reachable from K_y.  The strong form
+    additionally requires the joint innovation covariance to be block
+    diagonal.  Flags are True when the corresponding influence is PRESENT.
     """
     part = joint.require_partition()
     a = joint.A
-    n = joint.n
-    norm_a = float(np.linalg.norm(a, 2)) if n else 0.0
+    norm_a = float(np.linalg.norm(a, 2)) if joint.n else 0.0
     v_scale = tol * max(1.0, float(np.linalg.norm(joint.V, 2)))
 
     def absent(c_this: np.ndarray, b_other: np.ndarray) -> bool:
-        scale = (
-            float(np.linalg.norm(c_this, 2))
-            * float(np.linalg.norm(b_other, 2))
-            * max(1.0, norm_a) ** max(n - 1, 0)
-        )
-        worst = 0.0
-        x = b_other
-        for _ in range(n):
-            worst = max(worst, float(np.abs(c_this @ x).max(initial=0.0)))
-            x = a @ x
-        return worst <= tol * scale
+        # Krylov blocks, each orthogonalized twice against the basis and deflated by SVD.
+        basis = np.zeros((joint.n, 0))
+        block, floor = b_other, tol * np.linalg.norm(b_other)
+        while basis.shape[1] < joint.n:
+            for _ in range(2):
+                block = block - basis @ (basis.T @ block)
+            u, sing, _ = np.linalg.svd(block, full_matrices=False)
+            new = u[:, sing > floor]
+            if new.shape[1] == 0:
+                break
+            basis = np.hstack([basis, new])
+            block, floor = a @ new, tol * norm_a
+        return bool(np.linalg.norm(c_this @ basis) <= tol * np.linalg.norm(c_this))
 
     c_x = joint.C[part.x, :]
     c_y = joint.C[part.y, :]
@@ -246,47 +228,23 @@ def gc_classify(joint: ISSModel, tol: float = 1e-8) -> GcFlags:
     )
 
 
-def _upper_gamma_regularized(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0."""
+def _chi2_sf(statistic: float, df: int) -> float:
+    """Exact chi-squared upper tail for integer df (Abramowitz & Stegun 26.4.4-5).
+
+    With x = statistic / 2 the tail is e^{-x} sum_{j < df/2} x^j / j! for even
+    df, and erfc(sqrt x) plus the same terms at j = 1/2, 3/2, ... for odd df;
+    each term x^j e^{-x} / Gamma(j + 1) is evaluated in log space.
+    """
+    x = 0.5 * statistic
     if x <= 0.0:
         return 1.0
-    lg = math.lgamma(a)
-    # Series for the lower function below the switch point (x = a + 1/2 in
-    # gamma coordinates, statistic = df + 1 in chi-squared coordinates),
-    # Lentz continued fraction for the upper function above it.
-    if x < a + 0.5:
-        term = 1.0 / a
-        total = term
-        k = a
-        for _ in range(10000):
-            k += 1.0
-            term *= x / k
-            total += term
-            if abs(term) < abs(total) * 1e-15:
-                break
-        p = total * math.exp(-x + a * math.log(x) - lg)
-        return min(max(1.0 - p, 0.0), 1.0)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    q = h * math.exp(-x + a * math.log(x) - lg)
-    return min(max(q, 0.0), 1.0)
+    half = df % 2 / 2.0
+    log_x = math.log(x)
+    terms = [
+        math.exp((j + half) * log_x - x - math.lgamma(j + half + 1.0)) for j in range(df // 2)
+    ]
+    head = math.erfc(math.sqrt(x)) if half else 0.0
+    return min(math.fsum([head, *terms]), 1.0)
 
 
 def chi2_test(
@@ -326,6 +284,4 @@ def chi2_test(
     else:
         raise ValueError("kind must be 'weak', 'instantaneous' or 'strong'")
     statistic = n_obs * fhat
-    # Series/continued-fraction switch at statistic = df + 1.
-    pvalue = _upper_gamma_regularized(df / 2.0, statistic / 2.0)
-    return Chi2Result(float(statistic), df, float(pvalue))
+    return Chi2Result(float(statistic), df, _chi2_sf(statistic, df))

@@ -90,6 +90,20 @@ def _periodic_mean(grid: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(weights * values) / (2.0 * np.pi))
 
 
+def _logdet_pd(mat: np.ndarray, what: str):
+    """ln det of a Hermitian positive definite matrix (a float) or (N, p, p) stack.
+
+    A failed Cholesky of the Hermitian part raises PreconditionError naming `what`.
+    """
+    herm = 0.5 * (mat + np.swapaxes(mat, -1, -2).conj())
+    try:
+        chol = np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"{what} is not positive definite") from exc
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    return float(logdet) if logdet.ndim == 0 else logdet
+
+
 @dataclass(frozen=True)
 class JointPartition:
     """Split of a p-dimensional output into a leading X block and a trailing Y block."""
@@ -217,8 +231,10 @@ class ISSModel:
     def frequency_response(self, grid: np.ndarray) -> np.ndarray:
         """Transfer function H(e^{-j lambda}) at each grid frequency, shape (N, p, p)."""
         z = np.exp(1j * np.asarray(grid, dtype=float))  # L^{-1} on the unit circle
-        eye_n = np.eye(self.n)
-        m = z[:, None, None] * eye_n - self.A
+        m = np.empty((len(z), self.n, self.n), dtype=complex)
+        m[:] = -self.A
+        diag = np.arange(self.n)
+        m[:, diag, diag] += z[:, None]
         try:
             x = np.linalg.solve(m, np.broadcast_to(self.K, (len(z), self.n, self.p)))
         except np.linalg.LinAlgError as exc:  # unreachable for stable A

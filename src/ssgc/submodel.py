@@ -19,6 +19,7 @@ from .model import (
     ISSModel,
     SpectralCurve,
     SSModel,
+    _logdet_pd,
     _periodic_mean,
     require_stationary,
     spectrum_of_iss,
@@ -79,20 +80,8 @@ def log_det_spectrum_integral(curve: SpectralCurve) -> float:
 
     Raises
     ------
-    ValueError
-        If the curve is not strictly positive (definite) at every grid point.
+    PreconditionError
+        (a ValueError) if the curve is not positive definite at every grid point.
     """
-    if curve.is_scalar:
-        vals = curve.values
-        if np.any(vals <= 0.0):
-            raise ValueError("curve must be strictly positive at every grid point")
-        logdets = np.log(vals)
-    else:
-        signs, logabs = np.linalg.slogdet(curve.values)
-        if np.any(~np.isfinite(logabs)) or np.any(signs.real <= 0.0) or np.any(
-            np.abs(signs.imag) > 1e-8
-        ):
-            raise ValueError("curve must be strictly positive definite at every grid point")
-        logdets = logabs
-
-    return _periodic_mean(curve.grid, logdets)
+    values = curve.values[:, None, None] if curve.is_scalar else curve.values
+    return _periodic_mean(curve.grid, _logdet_pd(values, "spectral curve"))

@@ -13,6 +13,7 @@ from ssgc import (
     design_var1,
     solve_dare,
     spectral_radius,
+    var_to_iss,
 )
 
 
@@ -81,6 +82,24 @@ def random_iss(
     ss = random_ss(rng, n, px, py)
     sol = solve_dare(ss)
     return ISSModel(ss.A, ss.C, sol.K, sol.V, partition=ss.partition)
+
+
+def bivariate_var(rng: np.random.Generator, lags: int, one_sided: bool = False) -> ISSModel:
+    """Stable bivariate VAR(lags) in companion form (n = 2 lags), spectral radius 0.9.
+
+    With ``one_sided`` the y lags never enter the x equation, so y does not
+    cause x.  Scaling lag k by c^k scales every companion eigenvalue by c.
+    """
+    coeffs = rng.standard_normal((lags, 2, 2)) / np.arange(1, lags + 1)[:, None, None]
+    if one_sided:
+        coeffs[:, 0, 1] = 0.0
+    n = 2 * lags
+    companion = np.zeros((n, n))
+    companion[:2, :] = np.hstack(list(coeffs))
+    companion[2:, :-2] = np.eye(n - 2)
+    coeffs *= ((0.9 / spectral_radius(companion)) ** np.arange(1, lags + 1))[:, None, None]
+    g = rng.standard_normal((2, 3))
+    return var_to_iss(list(coeffs), g @ g.T + 0.1 * np.eye(2), JointPartition(1, 1))
 
 
 def _block_diag_cov(rng: np.random.Generator, px: int, py: int) -> np.ndarray:

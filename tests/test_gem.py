@@ -18,6 +18,7 @@ from ssgc import (
 )
 
 from support import (
+    bivariate_var,
     instantaneous_gem_canonical,
     random_iss,
     triangular_unidirectional,
@@ -30,6 +31,7 @@ def test_measures_decompose_and_are_nonnegative():
     for _ in range(30):
         g = gem_time_domain(random_iss(rng))
         for v in (g.fyx, g.fxy, g.fydx, g.fxoy):
+            assert type(v) is float
             assert v >= -1e-12
         assert abs(g.fxoy - (g.fyx + g.fxy + g.fydx)) <= 1e-10
 
@@ -48,7 +50,9 @@ def test_instantaneous_measure_closed_form():
     for rho in (0.0, 0.3, -0.7, 0.95):
         v = np.array([[1.0, rho], [rho, 1.0]])
         expected = -np.log1p(-(rho**2))
-        assert instantaneous_gem(v, part) == pytest.approx(expected, abs=1e-12)
+        value = instantaneous_gem(v, part)
+        assert type(value) is float
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_instantaneous_measure_input_checks():
@@ -139,6 +143,24 @@ def test_classification_matches_measures():
         assert g.fxy > 1e-3
 
 
+def test_weak_flag_is_set_exactly_when_the_measure_is_positive():
+    """Random, one-sided and large companion models (n = 200, where powers of
+    A overflow any tolerance scaled by ||A||^(n-1)) all agree with the measure."""
+    rng = np.random.default_rng(46)
+    models = [
+        make(rng)
+        for _ in range(8)
+        for make in (random_iss, white_x_unidirectional, triangular_unidirectional)
+    ]
+    models += [bivariate_var(rng, 100), bivariate_var(rng, 100, one_sided=True)]
+    for mdl in models:
+        flags = gc_classify(mdl)
+        g = gem_time_domain(mdl)
+        assert flags.wgc_y_to_x == (g.fyx > 1e-9)
+        assert flags.wgc_x_to_y == (g.fxy > 1e-9)
+    assert models[-2].n == models[-1].n == 200
+
+
 def test_chi2_degrees_of_freedom():
     assert chi2_test(0.1, 100, 2, 1, 1, "weak").df == 4
     assert chi2_test(0.1, 100, 2, 1, 1, "instantaneous").df == 1
@@ -156,14 +178,21 @@ def test_chi2_null_value_gives_unit_pvalue():
 
 
 def test_chi2_pvalue_matches_scipy_tail():
-    """Both branches of the incomplete-gamma evaluation (series and continued
-    fraction) against an independent implementation."""
-    for kind in ("weak", "instantaneous", "strong"):
-        for fhat in (1e-6, 1e-3, 0.01, 0.05, 0.2, 1.0, 3.0):
-            for n_obs in (20, 200, 2000):
-                res = chi2_test(fhat, n_obs, 3, 2, 1, kind)
-                ref = scipy.stats.chi2.sf(res.statistic, res.df)
-                assert res.pvalue == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    """The exact finite-sum tail against an independent implementation.
+
+    Scalar blocks give odd df (1 instantaneous, 2 n + 1 strong), whose tail
+    carries the erfc term; df runs up to 61.
+    """
+    dfs = set()
+    for state_dim, px, py in ((3, 2, 1), (1, 1, 1), (2, 1, 1), (5, 1, 1), (13, 1, 1), (30, 1, 1)):
+        for kind in ("weak", "instantaneous", "strong"):
+            for fhat in (1e-6, 1e-3, 0.01, 0.05, 0.2, 1.0, 3.0):
+                for n_obs in (20, 200, 2000):
+                    res = chi2_test(fhat, n_obs, state_dim, px, py, kind)
+                    ref = scipy.stats.chi2.sf(res.statistic, res.df)
+                    assert res.pvalue == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                    dfs.add(res.df)
+    assert {1, 3, 5, 11, 27, 61} <= dfs
 
 
 def test_chi2_rejects_bad_inputs():

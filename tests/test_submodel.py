@@ -7,6 +7,7 @@ from ssgc import (
     ISSModel,
     JointPartition,
     PreconditionError,
+    SpectralCurve,
     default_grid,
     extract_submodel,
     gem_time_domain,
@@ -54,6 +55,21 @@ def test_log_det_integral_recovers_innovation_covariance():
         integral = log_det_spectrum_integral(submodel_spectrum(sub))
         _, expected = np.linalg.slogdet(sub.V)
         assert integral == pytest.approx(expected, abs=1e-8)
+
+
+def test_log_det_integral_rejects_curves_that_are_not_positive_definite():
+    # diag(-1e-12, -1e-12) passes the curve's PSD tolerance and has a
+    # positive determinant, yet is negative definite.
+    negative = SpectralCurve(np.array([0.0]), np.diag([-1e-12, -1e-12])[None])
+    with pytest.raises(ValueError, match="not positive definite"):
+        log_det_spectrum_integral(negative)
+    scalar = SpectralCurve(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(PreconditionError):
+        log_det_spectrum_integral(scalar)
+    grid = default_grid(8)
+    assert log_det_spectrum_integral(SpectralCurve(grid, np.full(8, 2.0))) == pytest.approx(
+        np.log(2.0), abs=1e-15
+    )
 
 
 def test_marginal_variance_never_below_joint():
