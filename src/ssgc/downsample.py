@@ -33,7 +33,7 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     ISSModel
         Model of the downsampled process, state matrix A^m.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("m must be an integer >= 1")
     if m == 1:
         return model

@@ -54,7 +54,7 @@ def fit_var_ols(series: TimeSeries | np.ndarray, order: int):
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
-    if not isinstance(order, int) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValueError("order must be a positive integer")
     t, p = series.steps, series.channels
     if t <= p * order + 1:

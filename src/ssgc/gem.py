@@ -32,6 +32,7 @@ from .model import (
     SpectralCurve,
     _logdet_pd,
     _periodic_mean,
+    _reachable_basis,
     default_grid,
     require_stationary,
 )
@@ -188,28 +189,15 @@ def gc_classify(joint: ISSModel, tol: float = 1e-8) -> GcFlags:
 
     The dynamic influence y -> x is declared absent when C_x A^r K_y = 0 for
     every r, that is when C_x vanishes (relative to tol * ||C_x||) on an
-    orthonormal basis of the subspace reachable from K_y.  The strong form
-    additionally requires the joint innovation covariance to be block
-    diagonal.  Flags are True when the corresponding influence is PRESENT.
+    orthonormal basis of the subspace reachable from K_y (``pbh_test``'s
+    staircase).  The strong form also requires a block-diagonal joint innovation
+    covariance.  Flags are True when the corresponding influence is PRESENT.
     """
     part = joint.require_partition()
-    a = joint.A
-    norm_a = float(np.linalg.norm(a, 2)) if joint.n else 0.0
     v_scale = tol * max(1.0, float(np.linalg.norm(joint.V, 2)))
 
     def absent(c_this: np.ndarray, b_other: np.ndarray) -> bool:
-        # Krylov blocks, each orthogonalized twice against the basis and deflated by SVD.
-        basis = np.zeros((joint.n, 0))
-        block, floor = b_other, tol * np.linalg.norm(b_other)
-        while basis.shape[1] < joint.n:
-            for _ in range(2):
-                block = block - basis @ (basis.T @ block)
-            u, sing, _ = np.linalg.svd(block, full_matrices=False)
-            new = u[:, sing > floor]
-            if new.shape[1] == 0:
-                break
-            basis = np.hstack([basis, new])
-            block, floor = a @ new, tol * norm_a
+        basis, _ = _reachable_basis(joint.A, b_other, tol)
         return bool(np.linalg.norm(c_this @ basis) <= tol * np.linalg.norm(c_this))
 
     c_x = joint.C[part.x, :]

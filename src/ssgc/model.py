@@ -22,7 +22,7 @@ from .errors import ConvergenceError, PreconditionError
 
 # |eigenvalue| >= 1 - STABILITY_MARGIN counts as unstable / non-stationary.
 STABILITY_MARGIN = 1e-12
-# Scale-aware orthogonality threshold for the PBH eigenvector test.
+# Scale-aware threshold of the PBH tests (orthogonality, staircase deflation).
 PBH_TOL = 1e-9
 LYAPUNOV_TOL = 1e-13
 LYAPUNOV_MAX_DOUBLINGS = 200
@@ -52,7 +52,7 @@ def _as_matrix(value, name: str) -> np.ndarray:
     m = np.array(value, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     m.setflags(write=False)
     return m
@@ -220,9 +220,6 @@ class ISSModel:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def is_stationary(self) -> bool:
-        return spectral_radius(self.A) < 1.0 - STABILITY_MARGIN
-
     def require_partition(self) -> JointPartition:
         if self.partition is None:
             raise ValueError("this operation needs a model with a two-block partition")
@@ -350,16 +347,39 @@ class PbhResult(NamedTuple):
     margin: float
 
 
-def _pbh(a: np.ndarray, b: np.ndarray, unstable_only: bool) -> PbhResult:
-    """Eigenvector PBH test: fails iff some left eigenvector q of a (for an
-    unstable eigenvalue when unstable_only) has q^T b = 0 up to scale."""
+def _reachable_basis(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the subspace reachable from b under a, and its margin.
+
+    Orthogonal staircase (Paige 1981, Van Dooren 1981): Krylov blocks orthogonalized
+    twice, SVD-deflated at tol * max(1, ||b||_2), then at tol * max(1, ||a||_2).  The
+    margin is the least singular value kept, or the largest dropped (0.0 if none).
+    """
+    basis = np.zeros((a.shape[0], 0))
+    block, floor = b, tol * max(1.0, float(np.linalg.norm(b, 2)))
+    later_floor, margin = tol * max(1.0, float(np.linalg.norm(a, 2))), np.inf
+    while basis.shape[1] < a.shape[0]:
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
+        u, sing, _ = np.linalg.svd(block, full_matrices=False)
+        keep = sing > floor
+        if not keep.any():
+            return basis, float(sing.max(initial=0.0))
+        basis = np.hstack([basis, u[:, keep]])
+        margin = min(margin, float(sing[keep].min()))
+        block, floor = a @ u[:, keep], later_floor
+    return basis, margin
+
+
+def _pbh(a: np.ndarray, b: np.ndarray) -> PbhResult:
+    """Eigenvector PBH test on the unstable eigenvalues: fails iff the left
+    eigenvector q of one of them has q^T b = 0 up to scale."""
     n = a.shape[0]
     m = b.shape[1]
     threshold = PBH_TOL * max(1.0, float(np.linalg.norm(b, 2))) if b.size else 0.0
     eigvals = np.linalg.eigvals(a)
     best = np.inf
     for lam in eigvals:
-        if unstable_only and abs(lam) < 1.0 - STABILITY_MARGIN:
+        if abs(lam) < 1.0 - STABILITY_MARGIN:
             continue
         # Left-eigenvector space of a at lam is the null space of a^T - lam I.
         mat = a.T.astype(complex) - lam * np.eye(n)
@@ -379,9 +399,7 @@ def _pbh(a: np.ndarray, b: np.ndarray, unstable_only: bool) -> PbhResult:
         if margin <= threshold:
             return PbhResult(False, complex(lam), margin)
         best = min(best, margin)
-    if not np.isfinite(best):
-        best = np.inf  # vacuous pass: no unstable eigenvalue to inspect
-    return PbhResult(True, None, best)
+    return PbhResult(True, None, best)  # margin inf: no unstable eigenvalue to inspect
 
 
 def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
@@ -392,29 +410,33 @@ def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
     a, b : array_like
         System pair. For ``mode="detectable"`` pass b = C^T of the pair (A, C).
     mode : {"controllable", "stabilizable", "detectable"}
-        Which property to test. Stabilizability restricts the eigenvector test
-        to eigenvalues with modulus >= 1 - 1e-12; detectability is the
-        stabilizability test on the transposed pair.
+        Controllability spans the reachable subspace by ``gc_classify``'s
+        staircase; stabilizability runs the eigenvector test on eigenvalues of
+        modulus >= 1 - 1e-12 only, and detectability is that on the transposed pair.
 
     Returns
     -------
     PbhResult
-        ``passed`` flag, the offending eigenvalue as ``witness`` (None when the
-        test passes), and the smallest orthogonality margin encountered.
+        ``passed`` flag, an offending eigenvalue as ``witness`` (None when the
+        test passes) and a margin.  Controllability names the largest-modulus
+        mode of a off the reachable subspace, with the staircase margin; the
+        other modes report the smallest orthogonality margin met (inf if none).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a, b = _as_matrix(a, "a"), _as_matrix(b, "b")
+    if a.shape[0] != a.shape[1]:
         raise ValueError("a must be a square matrix")
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+    if b.shape[0] != a.shape[0]:
         raise ValueError("b must have as many rows as a")
     if mode == "controllable":
-        return _pbh(a, b, unstable_only=False)
-    if mode == "stabilizable":
-        return _pbh(a, b, unstable_only=True)
-    if mode == "detectable":
-        return _pbh(a.T, b, unstable_only=True)
-    raise ValueError(f"unknown mode {mode!r}")
+        basis, margin = _reachable_basis(a, b, PBH_TOL)
+        if basis.shape[1] == a.shape[0]:
+            return PbhResult(True, None, margin)
+        comp = np.linalg.qr(np.hstack([basis, np.eye(a.shape[0])]))[0][:, basis.shape[1] :]
+        modes = np.linalg.eigvals(comp.T @ a @ comp)  # the unreachable Kalman block
+        return PbhResult(False, complex(modes[np.argmax(np.abs(modes))]), margin)
+    if mode not in ("stabilizable", "detectable"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _pbh(a.T if mode == "detectable" else a, b)
 
 
 def validate_iss(model: ISSModel, require_stationary: bool = True) -> ValidationReport:

@@ -45,7 +45,7 @@ def run_scenario_sweep(model: ISSModel, factors) -> SweepResult:
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one downsampling factor")
-    if any(not isinstance(m, (int, np.integer)) or m < 1 for m in factors):
+    if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1 for m in factors):
         raise ValueError("downsampling factors must be positive integers")
     if any(b <= a for a, b in zip(factors, factors[1:])):
         raise ValueError("downsampling factors must be strictly increasing")

@@ -15,6 +15,7 @@ from ssgc import (
     spectral_radius,
     var_to_iss,
 )
+from ssgc.model import PBH_TOL, PbhResult
 
 
 def feasible_designs(rng: np.random.Generator, count: int):
@@ -223,3 +224,32 @@ def instantaneous_gem_canonical(sigma: np.ndarray, partition: JointPartition) ->
     cross = vy_isqrt @ vxy.T @ np.linalg.solve(vx, vxy) @ vy_isqrt
     rho2 = np.clip(np.linalg.eigvalsh(0.5 * (cross + cross.T)), 0.0, None)
     return -float(np.sum(np.log1p(-rho2)))
+
+
+def pbh_eigenvector(a: np.ndarray, b: np.ndarray) -> PbhResult:
+    """Eigenvector PBH controllability test, an oracle for the staircase in ``pbh_test``.
+
+    Fails iff some left eigenvector q of a has q^T b = 0 up to scale: one full
+    SVD of a^T - lam I per eigenvalue, O(n^4) in all.
+    """
+    n = a.shape[0]
+    m = b.shape[1]
+    threshold = PBH_TOL * max(1.0, float(np.linalg.norm(b, 2))) if b.size else 0.0
+    best = np.inf
+    for lam in np.linalg.eigvals(a):
+        # Left-eigenvector space of a at lam is the null space of a^T - lam I.
+        _, sing, vh = np.linalg.svd(a.T.astype(complex) - lam * np.eye(n))
+        # Generous null threshold: defective eigenvalues are computed with
+        # O(sqrt(eps)) error, so their near-null directions must be kept.
+        null_rows = np.flatnonzero(sing <= 1e-8 * max(1.0, sing[0]))
+        if len(null_rows) == 0:
+            null_rows = np.array([n - 1])
+        basis = vh[null_rows].conj().T
+        if b.size == 0 or basis.shape[1] > m:
+            margin = 0.0
+        else:
+            margin = float(np.linalg.svd(b.T @ basis, compute_uv=False).min())
+        if margin <= threshold:
+            return PbhResult(False, complex(lam), margin)
+        best = min(best, margin)
+    return PbhResult(True, None, best)

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,3 +317,19 @@ def test_one_sided_model_shows_zero_column(tmp_path, capsys):
         cells = line.split()
         assert float(cells[1]) == 0.0  # fyx column
         assert float(cells[3]) == 0.0  # fydx column
+
+
+def test_package_and_cli_load_no_scipy():
+    """numpy is the only runtime dependency: importing ssgc and its CLI in a
+    fresh interpreter loads no scipy module, although the tests install scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ssgc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, ssgc, ssgc.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -36,7 +36,7 @@ def test_unit_factor_returns_model_unchanged():
 def test_factor_must_be_positive_integer():
     rng = np.random.default_rng(32)
     mdl = random_iss(rng)
-    for bad in (0, -2, 2.5):
+    for bad in (0, -2, 2.5, True):
         with pytest.raises(ValueError):
             downsample_iss(mdl, bad)
 

@@ -69,8 +69,9 @@ def test_fit_rejects_short_records_and_collinearity():
     const = np.ones((50, 2))  # lagged regressors perfectly collinear
     with pytest.raises(ValueError):
         fit_var_ols(const, order=2)
-    with pytest.raises(ValueError):
-        fit_var_ols(rng.standard_normal((50, 2)), order=0)
+    for bad in (0, True):
+        with pytest.raises(ValueError):
+            fit_var_ols(rng.standard_normal((50, 2)), order=bad)
 
 
 def test_fitted_model_feeds_the_measure_pipeline():

@@ -18,9 +18,9 @@ from ssgc import (
     validate_iss,
     var_to_iss,
 )
-from ssgc.model import require_stationary
+from ssgc.model import PBH_TOL, require_stationary
 
-from support import random_iss, stable_matrix
+from support import bivariate_var, pbh_eigenvector, random_iss, stable_matrix
 
 
 def test_partition_slices():
@@ -91,6 +91,107 @@ def test_pbh_controllable_and_not():
     assert res.witness == pytest.approx(0.3, abs=1e-9)
 
 
+def _planted_pair(rng):
+    """Random orthogonal similarity of [[A11, A12], [0, A22]] with b = T [B1; 0]."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+    r = int(rng.integers(1, n))
+    a = rng.standard_normal((n, n))
+    a[r:, :r] = 0.0
+    b = np.zeros((n, m))
+    b[:r] = rng.standard_normal((r, m))
+    t, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return t @ a @ t.T, t @ b, np.linalg.eigvals(a[r:, r:])
+
+
+def _diagonal_pair(rng):
+    """Diagonal a with repeated entries and zero rows in b; a mode is unreachable
+    when its row is zero or its value repeats more often than b has columns."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+    d = rng.choice([-0.9, -0.3, 0.5, 1.2], n)
+    b = rng.standard_normal((n, m))
+    zero = rng.random(n) < 0.3
+    b[zero] = 0.0
+    repeated = np.array([np.count_nonzero(d == x) > m for x in d])
+    return np.diag(d), b, d[zero | repeated]
+
+
+def _jordan_pair(rng):
+    """Jordan blocks with distinct eigenvalues; zeroing the last row of a block's
+    gain leaves that block's last state, with its eigenvalue, unreachable."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(int(rng.integers(1, n - sum(sizes) + 1)))
+    lams = rng.permutation([-1.5, -0.9, -0.3, 0.0, 0.5, 1.2])[: len(sizes)]
+    a = np.zeros((n, n))
+    # Entries bounded away from zero: a last-row entry eps puts a size-k block
+    # within about eps^k of an uncontrollable pair, where the two tests may
+    # rightly disagree (see the nearly defective test below).
+    b = rng.choice([-1.0, 1.0], (n, m)) * rng.uniform(0.5, 2.0, (n, m))
+    unreachable = []
+    start = 0
+    for size, lam in zip(sizes, lams):
+        end = start + size
+        a[start:end, start:end] = lam * np.eye(size) + np.eye(size, k=1)
+        if rng.random() < 0.4:
+            b[end - 1] = 0.0
+            unreachable.append(lam)
+        start = end
+    return a, b, np.array(unreachable)
+
+
+def _random_pair(rng):
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+    return rng.standard_normal((n, n)), rng.standard_normal((n, m)), np.array([])
+
+
+@pytest.mark.parametrize("make", [_random_pair, _planted_pair, _diagonal_pair, _jordan_pair])
+def test_pbh_controllable_matches_the_eigenvector_test(make):
+    """The staircase verdict equals the eigenvector test's; a failure names an
+    eigenvalue of the unreachable block A22 and a finite margin."""
+    rng = np.random.default_rng(11)
+    failures = 0
+    for _ in range(300):
+        a, b, a22 = make(rng)
+        res = pbh_test(a, b, "controllable")
+        assert res.passed == pbh_eigenvector(a, b).passed
+        assert np.isfinite(res.margin)
+        if not res.passed:
+            failures += 1
+            assert np.abs(a22 - res.witness).min() < 1e-8
+    assert failures == 0 if make is _random_pair else failures > 100
+
+
+def test_pbh_controllable_is_backward_stable_on_a_nearly_defective_pair():
+    """J_4(1.2) with gain (1, 1, 1, 1e-3): the Krylov matrix has determinant
+    1e-12, so a perturbation of A below the floor makes the pair uncontrollable.
+    The staircase says so, and its witness is an eigenvalue of that nearby pair
+    (a defective block moves by the fourth root of the perturbation); the
+    eigenvector test looks only at the exact eigenvalue, sees a margin of 1e-3
+    and passes."""
+    a = 1.2 * np.eye(4) + np.eye(4, k=1)
+    b = np.array([[1.0], [1.0], [1.0], [1e-3]])
+    krylov = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(4)])
+    assert np.linalg.svd(krylov, compute_uv=False).min() < 1e-9
+    res = pbh_test(a, b, "controllable")
+    assert not res.passed
+    assert 0.0 < res.margin <= PBH_TOL * np.linalg.norm(a, 2)
+    assert abs(res.witness - 1.2) < 1e-2
+    assert pbh_eigenvector(a, b).passed
+
+
+@pytest.mark.parametrize("mode", ["controllable", "stabilizable", "detectable"])
+def test_pbh_rejects_non_finite_and_non_matrix_input(mode):
+    for a, b, name in (
+        (np.array([[np.nan]]), np.ones((1, 1)), "a"),
+        (np.eye(1), np.array([[np.inf]]), "b"),
+        (np.ones(2), np.ones((2, 1)), "a"),
+        (np.eye(2), np.ones(2), "b"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            pbh_test(a, b, mode)
+
+
 def test_pbh_stabilizable_ignores_stable_modes():
     a = np.diag([1.5, 0.3])
     b = np.array([[1.0], [0.0]])  # only the unstable mode is reachable
@@ -139,6 +240,31 @@ def test_validate_iss_flags_each_defect():
     assert not report.passed
     # same model admitted when stationarity is not demanded
     assert validate_iss(unstable, require_stationary=False).passed
+
+
+def test_validate_iss_controllability_at_n160():
+    """A companion VAR(80) is controllable from K; one appended state that K
+    never reaches (diag(A, 0.5), a zero row in K) fails that check alone."""
+    rng = np.random.default_rng(12)
+    mdl = bivariate_var(rng, 80)
+    assert mdl.n == 160
+    checks = {c.name: c for c in validate_iss(mdl).checks}
+    assert all(c.passed for c in checks.values())
+
+    n = mdl.n
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = mdl.A
+    a[n, n] = 0.5
+    k = np.vstack([mdl.K, np.zeros((1, mdl.p))])
+    c_grown = np.hstack([mdl.C, rng.standard_normal((mdl.p, 1))])
+    grown = ISSModel(a, c_grown, k, mdl.V, mdl.partition)
+    checks = {c.name: c for c in validate_iss(grown).checks}
+    ctr = checks.pop("(A, K) controllable")
+    assert not ctr.passed and np.isfinite(ctr.witness)
+    assert all(c.passed for c in checks.values())
+    res = pbh_test(grown.A, grown.K, "controllable")
+    assert res.witness == pytest.approx(0.5, abs=1e-8)
+    assert res.margin == ctr.witness
 
 
 def test_validate_report_renders_one_line_per_check():

@@ -34,7 +34,7 @@ def test_sweep_column_accessor():
 def test_sweep_validates_factors():
     rng = np.random.default_rng(82)
     mdl = random_iss(rng)
-    for bad in ((), (0, 1), (2, 2), (3, 2), (1.5,)):
+    for bad in ((), (0, 1), (2, 2), (3, 2), (1.5,), (True, 2)):
         with pytest.raises(ValueError):
             run_scenario_sweep(mdl, bad)
 
