@@ -424,6 +424,9 @@ def main(argv=None) -> int:
     if args.command == "filter" and args.taps is None and args.taps_x is None and args.taps_y is None:
         print("error: filter needs --taps or --taps-x/--taps-y", file=sys.stderr)
         return 1
+    if args.command in ("gem", "spectrum") and args.grid < 2:
+        print("error: grid needs at least 2 points", file=sys.stderr)
+        return 1
     try:
         return args.handler(args)
     except (PreconditionError, ConvergenceError, InfeasibleDesignError) as exc:

@@ -27,6 +27,8 @@ PBH_TOL = 1e-9
 LYAPUNOV_TOL = 1e-13
 LYAPUNOV_MAX_DOUBLINGS = 200
 DEFAULT_GRID_SIZE = 4096
+# Largest complex (chunk, n, n) resolvent stack the dense transfer rule allocates.
+DENSE_CHUNK_BYTES = 64 * 2**20
 
 __all__ = [
     "JointPartition",
@@ -102,6 +104,81 @@ def _logdet_pd(mat: np.ndarray, what: str):
         raise PreconditionError(f"{what} is not positive definite") from exc
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
     return float(logdet) if logdet.ndim == 0 else logdet
+
+
+def _grid_tol(grid: np.ndarray) -> float:
+    """Rounding tolerance on frequencies of the magnitude found in grid."""
+    return 16.0 * np.finfo(float).eps * max(2.0 * np.pi, float(np.abs(grid).max(initial=0.0)))
+
+
+def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray):
+    """C (e^{j lambda} I - A)^{-1} K on one period of a uniform grid, by one FFT.
+
+    None when grid is not such a period or A^N is not finite with ||A^N||_1 < 1;
+    see ``ISSModel.frequency_response``.
+    """
+    n_pts, n = len(grid), a.shape[0]
+    if n_pts == 0:
+        return None
+    step = 2.0 * np.pi / n_pts
+    if not np.abs(grid - (grid[0] + step * np.arange(n_pts))).max() <= _grid_tol(grid):
+        return None  # not uniform, or not finite
+    # Squares A^(2^j) for 2^j <= N, with their excesses A^(2^j) - I kept apart,
+    # E_2b = E_b (A^b + I), so that a root near +-1 keeps its small 1 - mu^N.
+    eye = np.eye(n)
+    squares, excesses = [a], [a - eye]
+    with np.errstate(all="ignore"):  # an unstable A may overflow; it is rejected below
+        while 2 ** len(squares) <= n_pts:
+            excesses.append(excesses[-1] @ (squares[-1] + eye))
+            squares.append(squares[-1] @ squares[-1])
+        # A^N - I over the set bits of N: A^(a+b) - I = (A^a - I) A^b + (A^b - I).
+        excess = np.zeros((n, n))
+        for j, (sq, ex) in enumerate(zip(squares, excesses)):
+            if n_pts >> j & 1:
+                excess = excess @ sq + ex
+    if not (np.isfinite(excess).all() and np.abs(excess + eye).sum(axis=0).max(initial=0.0) < 1.0):
+        return None
+    # Shift the grid by whole steps so |lambda_0| <= step / 2 and every phase stays small.
+    shift = int(np.rint(grid[0] / step))
+    lam0 = grid[0] - shift * step
+    omega = np.exp(-1j * n_pts * lam0)
+    gain = np.linalg.solve((1.0 - omega) * eye - omega * excess, k)  # (I - w A^N)^{-1} K
+    # Rows C A^k, k < N, stacked p at a time, by block doubling R <- [R; R A^b].
+    p = c.shape[0]
+    rows = np.empty((n_pts * p, n))
+    rows[:p] = c
+    for j, sq in enumerate(squares):
+        b = 1 << j
+        if b >= n_pts:
+            break
+        top = min(b, n_pts - b) * p
+        rows[b * p : b * p + top] = rows[:top] @ sq
+    markov = (rows @ gain.real + 1j * (rows @ gain.imag)).reshape(n_pts, p, k.shape[1])
+    markov *= np.exp(-1j * lam0 * np.arange(n_pts))[:, None, None]
+    h = np.roll(np.fft.fft(markov, axis=0), -shift, axis=0)
+    return np.exp(-1j * grid)[:, None, None] * h
+
+
+def _transfer_dense(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """C (e^{j lambda} I - A)^{-1} K by one resolvent solve per grid point.
+
+    The (chunk, n, n) complex stacks hold at most DENSE_CHUNK_BYTES, or one matrix.
+    """
+    n = a.shape[0]
+    chunk = max(1, DENSE_CHUNK_BYTES // max(1, 16 * n * n))
+    diag = np.arange(n)
+    h = np.empty((len(grid), c.shape[0], k.shape[1]), dtype=complex)
+    for start in range(0, len(grid), chunk):
+        z = np.exp(1j * grid[start : start + chunk])  # L^{-1} on the unit circle
+        m = np.empty((len(z), n, n), dtype=complex)
+        m[:] = -a
+        m[:, diag, diag] += z[:, None]
+        try:
+            x = np.linalg.solve(m, np.broadcast_to(k, (len(z), *k.shape)))
+        except np.linalg.LinAlgError as exc:  # unreachable for stable A
+            raise RuntimeError("internal error: resolvent singular on the unit circle") from exc
+        h[start : start + chunk] = c @ x
+    return h
 
 
 @dataclass(frozen=True)
@@ -226,17 +303,26 @@ class ISSModel:
         return self.partition
 
     def frequency_response(self, grid: np.ndarray) -> np.ndarray:
-        """Transfer function H(e^{-j lambda}) at each grid frequency, shape (N, p, p)."""
-        z = np.exp(1j * np.asarray(grid, dtype=float))  # L^{-1} on the unit circle
-        m = np.empty((len(z), self.n, self.n), dtype=complex)
-        m[:] = -self.A
-        diag = np.arange(self.n)
-        m[:, diag, diag] += z[:, None]
-        try:
-            x = np.linalg.solve(m, np.broadcast_to(self.K, (len(z), self.n, self.p)))
-        except np.linalg.LinAlgError as exc:  # unreachable for stable A
-            raise RuntimeError("internal error: resolvent singular on the unit circle") from exc
-        h = np.einsum("ij,njk->nik", self.C, x)
+        """Transfer function H(e^{-j lambda}) at each grid frequency, shape (N, p, p).
+
+        Two rules give the same H.  On one period of a uniform grid,
+        lambda_m = lambda_0 + 2 pi m / N (spacing 2 pi / N to within rounding),
+        with ||A^N||_1 < 1, H is the DFT of the aliased impulse response
+        (frequency sampling, Oppenheim & Schafer):
+
+            H_m = I + e^{-j lambda_m} FFT_k[C A^k (I - w A^N)^{-1} K e^{-j k lambda_0}],
+
+        w = e^{-j N lambda_0}, k = 0..N-1.  It is exact, not truncated; it holds
+        O(N p n + n^2) memory and never an (N, n, n) stack.  Every other input
+        (a non-uniform grid, an unstable A, or an A^N that has not decayed)
+        takes the pointwise resolvent solve C (e^{j lambda} I - A)^{-1} K, in
+        chunks of at most DENSE_CHUNK_BYTES of complex (n, n) matrices (one
+        point at a time once a single matrix is larger).
+        """
+        grid = np.asarray(grid, dtype=float)
+        h = _transfer_uniform(self.A, self.C, self.K, grid)
+        if h is None:
+            h = _transfer_dense(self.A, self.C, self.K, grid)
         h[:, np.arange(self.p), np.arange(self.p)] += 1.0
         return h
 
@@ -264,6 +350,8 @@ class SpectralCurve:
             raise ValueError("grid and values must have matching leading length")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
+        if len(grid) and grid[-1] - grid[0] > 2.0 * np.pi + _grid_tol(grid):
+            raise ValueError("grid must lie within one period: grid[-1] - grid[0] <= 2 pi")
         if values.ndim == 1:
             values = values.astype(float)
             if values.min(initial=0.0) < -1e-10:

@@ -1,21 +1,87 @@
-"""Shared random-model generators for the test batteries."""
+"""Shared models, random-model generators and oracles for the test batteries."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from ssgc import (
+    FirFilter,
     InfeasibleDesignError,
     ISSModel,
     JointPartition,
     SSModel,
     Var1Design,
+    apply_fir_filter,
     design_var1,
+    hrf_glover,
     solve_dare,
     spectral_radius,
     var_to_iss,
 )
 from ssgc.model import PBH_TOL, PbhResult
+
+
+class ReferenceScenario(NamedTuple):
+    """Bivariate design with tabulated measures across the acceptance sweep factors.
+
+    The expected rows are regression targets recorded to the digits shown;
+    the sweep must land within 0.05 of every entry.
+    """
+
+    a: tuple
+    rho: float
+    fyx: tuple
+    fxy: tuple
+
+    def model(self) -> ISSModel:
+        sigma = np.array([[1.0, self.rho], [self.rho, 1.0]])
+        return var_to_iss([np.array(self.a)], sigma, JointPartition(1, 1))
+
+
+# y pushes x much harder than the reverse, at every sampling rate.
+PUSH_DOMINANT = ReferenceScenario(
+    a=((-0.204, -1.24), (0.452, -1.69)),
+    rho=0.2,
+    fyx=(1.3761, 1.657, 1.408, 1.169, 0.994, 0.864, 0.551, 0.151, 0.001, 0.014),
+    fxy=(0.19834, 0.253, 0.287, 0.308, 0.319, 0.322, 0.293, 0.109, 0.001, 0.011),
+)
+
+# near-equal strengths at the native rate; slower sampling reverses the picture
+PUSH_REVERSAL = ReferenceScenario(
+    a=((1.69, -1.24), (0.452, 0.204)),
+    rho=0.2,
+    fyx=(0.92983, 0.879, 0.766, 0.683, 0.62, 0.57, 0.418, 0.131, 0.001, 0.013),
+    fxy=(1.0476, 1.824, 2.006, 1.795, 1.527, 1.3, 0.751, 0.18, 0.002, 0.016),
+)
+
+# near one-sided x -> y coupling that equalizes under slower sampling; only
+# the ratio pattern is promised for this design.  The matrix is the VAR(1)
+# design below rounded to 5e-4.  Its fyx is bounded below by ln(1 + xi_x)
+# with xi_x = (1 - rho^2) * 0.408^2 = 0.0599, which caps fxy/fyx at m=1 near
+# 47 (the closed form gives 43.4).
+NEAR_ONE_SIDED_A = ((1.883, -0.408), (2.236, 0.036))
+NEAR_ONE_SIDED_RHO = -0.8
+NEAR_ONE_SIDED_DESIGN = Var1Design(
+    0.99 * np.exp(0.25j), 0.99 * np.exp(-0.25j),
+    xi_x=0.06, xi_y=1.8, rho=NEAR_ONE_SIDED_RHO, sign_gx=-1, root_case=1,
+)
+
+
+def hrf_filtered_references() -> list[ISSModel]:
+    """The three reference designs seen through the hemodynamic response on both blocks.
+
+    The response is sampled from t = 0: a one-step delay in front of the
+    ``hrf_glover`` taps, so each model (n = 66) carries a defective shift register.
+    """
+    part = JointPartition(1, 1)
+    taps = np.r_[0.0, hrf_glover().scalar_taps]
+    hrf = FirFilter.block_scalar(taps, taps, part)
+    sigma = np.array([[1.0, NEAR_ONE_SIDED_RHO], [NEAR_ONE_SIDED_RHO, 1.0]])
+    near_one_sided = var_to_iss([np.array(NEAR_ONE_SIDED_A)], sigma, part)
+    references = (PUSH_DOMINANT.model(), PUSH_REVERSAL.model(), near_one_sided)
+    return [apply_fir_filter(model, hrf) for model in references]
 
 
 def feasible_designs(rng: np.random.Generator, count: int):
@@ -253,3 +319,13 @@ def pbh_eigenvector(a: np.ndarray, b: np.ndarray) -> PbhResult:
             return PbhResult(False, complex(lam), margin)
         best = min(best, margin)
     return PbhResult(True, None, best)
+
+
+def transfer_function_pointwise(model: ISSModel, grid: np.ndarray) -> np.ndarray:
+    """H = I + C (e^{j lambda} I - A)^{-1} K by one solve per frequency, an
+    oracle for ``ISSModel.frequency_response``."""
+    eye_n, eye_p = np.eye(model.n), np.eye(model.p)
+    return np.array([
+        eye_p + model.C @ np.linalg.solve(np.exp(1j * lam) * eye_n - model.A, model.K)
+        for lam in grid
+    ])

@@ -6,11 +6,15 @@ contractual; loosening one is an interface change, not a test fix.
 """
 
 import time
-from typing import NamedTuple
 
 import numpy as np
 
 from support import (
+    NEAR_ONE_SIDED_A,
+    NEAR_ONE_SIDED_DESIGN,
+    NEAR_ONE_SIDED_RHO,
+    PUSH_DOMINANT,
+    PUSH_REVERSAL,
     feasible_designs,
     own_noise_zeros,
     random_iss,
@@ -24,7 +28,6 @@ from ssgc import (
     ISSModel,
     JointPartition,
     SSModel,
-    Var1Design,
     Var1Model,
     apply_fir_filter,
     autocovariance_of_iss,
@@ -48,52 +51,6 @@ from ssgc import (
 )
 
 SWEEP_FACTORS = (1, 2, 3, 4, 5, 6, 10, 20, 30, 40)
-
-
-class ReferenceScenario(NamedTuple):
-    """Bivariate design with tabulated measures across SWEEP_FACTORS.
-
-    The expected rows are regression targets recorded to the digits shown;
-    the sweep must land within 0.05 of every entry.
-    """
-
-    a: tuple
-    rho: float
-    fyx: tuple
-    fxy: tuple
-
-    def model(self) -> ISSModel:
-        sigma = np.array([[1.0, self.rho], [self.rho, 1.0]])
-        return var_to_iss([np.array(self.a)], sigma, JointPartition(1, 1))
-
-
-# y pushes x much harder than the reverse, at every sampling rate.
-PUSH_DOMINANT = ReferenceScenario(
-    a=((-0.204, -1.24), (0.452, -1.69)),
-    rho=0.2,
-    fyx=(1.3761, 1.657, 1.408, 1.169, 0.994, 0.864, 0.551, 0.151, 0.001, 0.014),
-    fxy=(0.19834, 0.253, 0.287, 0.308, 0.319, 0.322, 0.293, 0.109, 0.001, 0.011),
-)
-
-# near-equal strengths at the native rate; slower sampling reverses the picture
-PUSH_REVERSAL = ReferenceScenario(
-    a=((1.69, -1.24), (0.452, 0.204)),
-    rho=0.2,
-    fyx=(0.92983, 0.879, 0.766, 0.683, 0.62, 0.57, 0.418, 0.131, 0.001, 0.013),
-    fxy=(1.0476, 1.824, 2.006, 1.795, 1.527, 1.3, 0.751, 0.18, 0.002, 0.016),
-)
-
-# near one-sided x -> y coupling that equalizes under slower sampling; only
-# the ratio pattern is promised for this design.  The matrix is the VAR(1)
-# design below rounded to 5e-4.  Its fyx is bounded below by ln(1 + xi_x)
-# with xi_x = (1 - rho^2) * 0.408^2 = 0.0599, which caps fxy/fyx at m=1 near
-# 47 (the closed form gives 43.4).
-NEAR_ONE_SIDED_A = ((1.883, -0.408), (2.236, 0.036))
-NEAR_ONE_SIDED_RHO = -0.8
-NEAR_ONE_SIDED_DESIGN = Var1Design(
-    0.99 * np.exp(0.25j), 0.99 * np.exp(-0.25j),
-    xi_x=0.06, xi_y=1.8, rho=NEAR_ONE_SIDED_RHO, sign_gx=-1, root_case=1,
-)
 
 
 def test_criterion_01_reference_sweeps_match_tabulated_measures():

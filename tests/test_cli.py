@@ -219,6 +219,19 @@ def test_spectrum_csv_diagonal(var_file, tmp_path, capsys):
     assert first[1] > 0 and first[2] > 0
 
 
+@pytest.mark.parametrize("command", ["gem", "spectrum"])
+def test_grid_below_two_points_fails_before_any_output(command, var_file, tmp_path, capsys):
+    csv_path, curve_path = tmp_path / "a.csv", tmp_path / "c.csv"
+    args = [command, var_file, "--csv", str(csv_path), "--grid", "1"]
+    if command == "gem":
+        args += ["--freq-curve", str(curve_path)]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid needs at least 2 points\n"
+    assert not csv_path.exists() and not curve_path.exists()
+
+
 def test_filter_block_taps_preserve_measures(model_file, capsys):
     assert main(["gem", model_file]) == 0
     before = capsys.readouterr().out.splitlines()[1]

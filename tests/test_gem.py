@@ -104,6 +104,18 @@ def test_frequency_integral_recovers_time_domain():
         assert fyx.curve.values.min() >= -1e-10
 
 
+def test_grid_wider_than_one_period_is_an_error():
+    rng = np.random.default_rng(48)
+    joint = random_iss(rng, px=1, py=1)
+    for grid in (np.linspace(-np.pi, 3 * np.pi, 512, endpoint=False), np.array([0.0, 10.0])):
+        with pytest.raises(ValueError, match="one period"):
+            gem_frequency(joint, grid)
+    # A closed grid spanning exactly 2 pi is the closed trapezoid rule: with
+    # f(-pi) = f(pi) it equals the open rule on its first 512 points.
+    closed = gem_frequency(joint, np.linspace(-np.pi, np.pi, 513))
+    assert closed.integral == pytest.approx(gem_frequency(joint, default_grid(512)).integral, abs=1e-12)
+
+
 def test_frequency_direction_validated():
     rng = np.random.default_rng(43)
     with pytest.raises(ValueError):

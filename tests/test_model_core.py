@@ -1,9 +1,14 @@
 """Model containers, structural validation and second-order statistics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ssgc.model
 from ssgc import (
     ISSModel,
     JointPartition,
@@ -20,7 +25,14 @@ from ssgc import (
 )
 from ssgc.model import PBH_TOL, require_stationary
 
-from support import bivariate_var, pbh_eigenvector, random_iss, stable_matrix
+from support import (
+    bivariate_var,
+    hrf_filtered_references,
+    pbh_eigenvector,
+    random_iss,
+    stable_matrix,
+    transfer_function_pointwise,
+)
 
 
 def test_partition_slices():
@@ -378,6 +390,111 @@ def test_frequency_response_identity_at_zero_gain():
     mdl = ISSModel(np.array([[0.5]]), np.array([[1.0]]), np.array([[0.0]]), np.eye(1))
     h = mdl.frequency_response(default_grid(16))
     assert np.allclose(h, np.ones((16, 1, 1)))
+
+
+def _relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def _refuse_dense_rule(monkeypatch):
+    """Make the dense transfer rule fail, so a call that returns took the uniform one."""
+
+    def refuse(*args):
+        raise AssertionError("the dense transfer rule was called")
+
+    monkeypatch.setattr(ssgc.model, "_transfer_dense", refuse)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [default_grid(512), default_grid(512) + 0.37, default_grid(513)],
+    ids=["default", "shifted", "odd"],
+)
+def test_uniform_transfer_matches_pointwise_solve(monkeypatch, grid):
+    _refuse_dense_rule(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        mdl = random_iss(rng)
+        want = transfer_function_pointwise(mdl, grid)
+        assert _relative_error(mdl.frequency_response(grid), want) < 1e-12
+
+
+def test_uniform_transfer_on_hrf_filtered_references(monkeypatch):
+    """Defective shift registers (n = 66) on the default grid."""
+    _refuse_dense_rule(monkeypatch)
+    grid = default_grid()
+    for mdl in hrf_filtered_references():
+        assert mdl.n == 66
+        want = transfer_function_pointwise(mdl, grid)
+        assert _relative_error(mdl.frequency_response(grid), want) < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.999, 0.99999, 1.0 - 1e-7])
+def test_uniform_transfer_near_a_unit_root(monkeypatch, rho):
+    """A real root rho next to the grid point lambda = 0, non-normally coupled
+    to a second mode; A^N has barely decayed (rho^4096 = 0.9996 at 1 - 1e-7)."""
+    _refuse_dense_rule(monkeypatch)
+    a = np.array([[rho, 0.3], [0.0, -0.6]])
+    mdl = ISSModel(a, np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([[1.0, 0.0], [0.3, 1.0]]), np.eye(2))
+    grid = default_grid()
+    want = transfer_function_pointwise(mdl, grid)
+    assert _relative_error(mdl.frequency_response(grid), want) < 1e-11
+
+
+def test_transfer_of_a_stateless_model_is_exactly_identity():
+    mdl = ISSModel(np.zeros((0, 0)), np.zeros((2, 0)), np.zeros((0, 2)), np.eye(2))
+    irregular = np.sort(np.random.default_rng(12).uniform(-np.pi, np.pi, 20))
+    for grid in (default_grid(64), irregular):
+        h = mdl.frequency_response(grid)
+        assert np.array_equal(h, np.broadcast_to(np.eye(2), (len(grid), 2, 2)))
+
+
+def test_transfer_falls_back_to_pointwise_solve(monkeypatch):
+    """A non-uniform grid and an unstable A take the dense rule, in chunks."""
+    calls = []
+    dense = ssgc.model._transfer_dense
+    monkeypatch.setattr(ssgc.model, "_transfer_dense", lambda *args: calls.append(1) or dense(*args))
+    # seven points per chunk, so chunk boundaries fall inside the grids
+    monkeypatch.setattr(ssgc.model, "DENSE_CHUNK_BYTES", 7 * 16 * 4 * 4)
+    rng = np.random.default_rng(13)
+    mdl = random_iss(rng, n=4)
+    irregular = np.sort(rng.uniform(-np.pi, np.pi, 300))
+    unstable = ISSModel(
+        stable_matrix(rng, 4, radius=1.05), rng.standard_normal((2, 4)),
+        rng.standard_normal((4, 2)), np.eye(2),
+    )
+    for model, grid in ((mdl, irregular), (unstable, default_grid(256))):
+        want = transfer_function_pointwise(model, grid)
+        assert _relative_error(model.frequency_response(grid), want) < 1e-12
+    assert len(calls) == 2
+
+
+def test_gem_frequency_at_n400_keeps_memory_small():
+    """No (N, n, n) stack: at n = 400 on 4096 points that stack alone would take
+    9.8 GiB.  The child caps its address space at 8 GiB, so a regression fails
+    with MemoryError instead of exhausting the host."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ssgc.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import resource\n"
+        "cap, hard = 8 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    cap = min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "import numpy as np\n"
+        "from ssgc import default_grid, gem_frequency\n"
+        "from support import bivariate_var\n"
+        "gem_frequency(bivariate_var(np.random.default_rng(0), 200), default_grid(4096))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    peak_mb = int(out.stdout) / (2**20 if sys.platform == "darwin" else 2**10)  # bytes or KiB
+    assert peak_mb < 400
 
 
 def test_as_ss_round_trips_through_riccati():
