@@ -74,10 +74,15 @@ def riccati_fixed_point(
     """Run the Riccati recursion from p0 (zero by default).
 
     Returns (P, K, V, iterations, residual, history).  Convergence is declared
-    when ||P_{t+1} - P_t||_F <= tol * max(1, ||P_t||_F).  Raises
+    when ||P_{t+1} - P_t||_F <= tol * max(1, ||P_t||_F).  Raises ValueError
+    unless tol is finite and positive and max_iter a non-negative integer,
     PreconditionError if some iterate's innovation covariance fails its
     Cholesky factorization and ConvergenceError when the budget is exhausted.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError("max_iter must be a non-negative integer")
     n = a.shape[0]
     p = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
     history: list[np.ndarray] = [p.copy()] if keep_history else []
@@ -161,9 +166,10 @@ def solve_dare(
         (A_s, Q_s^(1/2)) stabilizable and (A, C) detectable; all three are
         checked and reported by name on failure.
     tol : float
-        Relative Frobenius convergence tolerance of the recursion.
+        Relative Frobenius convergence tolerance of the recursion, finite and
+        positive.
     max_iter : int
-        Iteration budget.
+        Iteration budget, a non-negative integer.
     keep_history : bool
         Store every iterate in the solution (for diagnostics; memory scales
         with iteration count).
@@ -173,8 +179,6 @@ def solve_dare(
     DareSolution
         Stabilizing solution: spectral_radius(A - K C) < 1 and V > 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _check_preconditions(model)
     p, k, v, iterations, residual, history = riccati_fixed_point(
         model.A, model.C, model.Q, model.R, model.S,

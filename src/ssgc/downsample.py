@@ -26,7 +26,7 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     model : ISSModel
         Stationary input model; any partition is preserved.
     m : int
-        Skip factor, m >= 1.  m = 1 returns the input model unchanged.
+        Skip factor, m >= 1.  m = 1 returns the (stationary) input model unchanged.
 
     Returns
     -------
@@ -35,9 +35,9 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("m must be an integer >= 1")
+    require_stationary(model)
     if m == 1:
         return model
-    require_stationary(model)
 
     kv = model.K @ model.V
     w = kv @ model.K.T

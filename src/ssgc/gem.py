@@ -30,6 +30,7 @@ from .model import (
     ISSModel,
     JointPartition,
     SpectralCurve,
+    _check_grid,
     _logdet_pd,
     _periodic_mean,
     _reachable_basis,
@@ -153,8 +154,7 @@ def gem_frequency(
     """
     part = joint.require_partition()
     require_stationary(joint)
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid() if grid is None else _check_grid(grid)
     if direction == "y->x":
         this, other = part.x, part.y
     elif direction == "x->y":
@@ -166,7 +166,7 @@ def gem_frequency(
     v_oo = joint.V[other, other]
     v_to = joint.V[this, other]
 
-    h = joint.frequency_response(np.asarray(grid, dtype=float))
+    h = joint.frequency_response(grid)
     h_tt = h[:, this, this]
     h_to = h[:, this, other]
 
@@ -180,7 +180,7 @@ def gem_frequency(
     f_t = f_e + np.einsum("nij,jk,nlk->nil", h_to, v_cond, h_to.conj())
 
     vals = _logdet_pd(f_t, "block spectrum") - _logdet_pd(f_e, "intrinsic spectrum")
-    curve = SpectralCurve(np.asarray(grid, dtype=float), vals)
+    curve = SpectralCurve(grid, vals)
     return FrequencyGem(curve, _periodic_mean(curve.grid, vals))
 
 

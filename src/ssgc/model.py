@@ -6,9 +6,10 @@ The central object is the innovations state-space (ISS) model
     z[t]   = C x[t] + e[t],      cov(e) = V,
 
 together with the general noise-parameterized form (A, C, [Q, R, S]) used as
-input to the Riccati solver.  This module also provides PBH controllability,
-stabilizability and detectability tests, VAR-to-ISS conversion, transfer
-function and spectral evaluation, and autocovariance sequences.
+input to the Riccati solver.  This module also provides the PBH
+controllability, stabilizability and detectability tests (one orthogonal
+staircase rule for all three), VAR-to-ISS conversion, transfer function and
+spectral evaluation, and autocovariance sequences.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ LYAPUNOV_MAX_DOUBLINGS = 200
 DEFAULT_GRID_SIZE = 4096
 # Largest complex (chunk, n, n) resolvent stack the dense transfer rule allocates.
 DENSE_CHUNK_BYTES = 64 * 2**20
+# Most squarings A^(2^j) the uniform transfer rule takes to certify rho(A) < 1.
+UNIFORM_MAX_SQUARINGS = 64
 
 __all__ = [
     "JointPartition",
@@ -111,11 +114,27 @@ def _grid_tol(grid: np.ndarray) -> float:
     return 16.0 * np.finfo(float).eps * max(2.0 * np.pi, float(np.abs(grid).max(initial=0.0)))
 
 
+def _check_grid(grid) -> np.ndarray:
+    """grid as a float array; ValueError unless it is 1-D, finite, strictly
+    increasing and within one period (grid[-1] - grid[0] <= 2 pi)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-D array")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid contains non-finite entries")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    if len(grid) and grid[-1] - grid[0] > 2.0 * np.pi + _grid_tol(grid):
+        raise ValueError("grid must lie within one period: grid[-1] - grid[0] <= 2 pi")
+    return grid
+
+
 def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray):
     """C (e^{j lambda} I - A)^{-1} K on one period of a uniform grid, by one FFT.
 
-    None when grid is not such a period or A^N is not finite with ||A^N||_1 < 1;
-    see ``ISSModel.frequency_response``.
+    None when grid is not such a period or none of the first
+    UNIFORM_MAX_SQUARINGS squarings A^(2^j) has 1-norm below 1; see
+    ``ISSModel.frequency_response``.
     """
     n_pts, n = len(grid), a.shape[0]
     if n_pts == 0:
@@ -136,7 +155,15 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
         for j, (sq, ex) in enumerate(zip(squares, excesses)):
             if n_pts >> j & 1:
                 excess = excess @ sq + ex
-    if not (np.isfinite(excess).all() and np.abs(excess + eye).sum(axis=0).max(initial=0.0) < 1.0):
+        # A squaring of 1-norm below 1 certifies rho(A) < 1, so I - w A^N is
+        # invertible, and every later squaring stays below 1: square on past N
+        # until one is, up to the cap or the first non-finite squaring.
+        power = squares[-1]
+        for _ in range(UNIFORM_MAX_SQUARINGS + 1 - len(squares)):
+            if not np.isfinite(power).all() or np.abs(power).sum(axis=0).max(initial=0.0) < 1.0:
+                break
+            power = power @ power
+    if not (np.isfinite(excess).all() and np.abs(power).sum(axis=0).max(initial=0.0) < 1.0):
         return None
     # Shift the grid by whole steps so |lambda_0| <= step / 2 and every phase stays small.
     shift = int(np.rint(grid[0] / step))
@@ -307,17 +334,19 @@ class ISSModel:
 
         Two rules give the same H.  On one period of a uniform grid,
         lambda_m = lambda_0 + 2 pi m / N (spacing 2 pi / N to within rounding),
-        with ||A^N||_1 < 1, H is the DFT of the aliased impulse response
+        with A stable, H is the DFT of the aliased impulse response
         (frequency sampling, Oppenheim & Schafer):
 
             H_m = I + e^{-j lambda_m} FFT_k[C A^k (I - w A^N)^{-1} K e^{-j k lambda_0}],
 
         w = e^{-j N lambda_0}, k = 0..N-1.  It is exact, not truncated; it holds
-        O(N p n + n^2) memory and never an (N, n, n) stack.  Every other input
-        (a non-uniform grid, an unstable A, or an A^N that has not decayed)
-        takes the pointwise resolvent solve C (e^{j lambda} I - A)^{-1} K, in
-        chunks of at most DENSE_CHUNK_BYTES of complex (n, n) matrices (one
-        point at a time once a single matrix is larger).
+        O(N p n + n^2) memory and never an (N, n, n) stack.  Stability is
+        certified by a squaring A^(2^j) of 1-norm below 1, within
+        UNIFORM_MAX_SQUARINGS squarings.  Every other input (a non-uniform
+        grid, or an A without that certificate) takes the pointwise resolvent
+        solve C (e^{j lambda} I - A)^{-1} K, in chunks of at most
+        DENSE_CHUNK_BYTES of complex (n, n) matrices (one point at a time once
+        a single matrix is larger).
         """
         grid = np.asarray(grid, dtype=float)
         h = _transfer_uniform(self.A, self.C, self.K, grid)
@@ -344,14 +373,10 @@ class SpectralCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_grid(self.grid)
         values = np.asarray(self.values)
-        if grid.ndim != 1 or len(grid) != len(values):
+        if len(grid) != len(values):
             raise ValueError("grid and values must have matching leading length")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if len(grid) and grid[-1] - grid[0] > 2.0 * np.pi + _grid_tol(grid):
-            raise ValueError("grid must lie within one period: grid[-1] - grid[0] <= 2 pi")
         if values.ndim == 1:
             values = values.astype(float)
             if values.min(initial=0.0) < -1e-10:
@@ -458,73 +483,47 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarr
     return basis, margin
 
 
-def _pbh(a: np.ndarray, b: np.ndarray) -> PbhResult:
-    """Eigenvector PBH test on the unstable eigenvalues: fails iff the left
-    eigenvector q of one of them has q^T b = 0 up to scale."""
-    n = a.shape[0]
-    m = b.shape[1]
-    threshold = PBH_TOL * max(1.0, float(np.linalg.norm(b, 2))) if b.size else 0.0
-    eigvals = np.linalg.eigvals(a)
-    best = np.inf
-    for lam in eigvals:
-        if abs(lam) < 1.0 - STABILITY_MARGIN:
-            continue
-        # Left-eigenvector space of a at lam is the null space of a^T - lam I.
-        mat = a.T.astype(complex) - lam * np.eye(n)
-        _, sing, vh = np.linalg.svd(mat)
-        # Generous null threshold: defective eigenvalues are computed with
-        # O(sqrt(eps)) error, so their near-null directions must be kept.
-        null_tol = 1e-8 * max(1.0, sing[0])
-        null_rows = np.flatnonzero(sing <= null_tol)
-        if len(null_rows) == 0:
-            null_rows = np.array([n - 1])
-        basis = vh[null_rows].conj().T  # orthonormal columns spanning the null space
-        k = basis.shape[1]
-        if b.size == 0 or k > m:
-            margin = 0.0
-        else:
-            margin = float(np.linalg.svd(b.T @ basis, compute_uv=False).min())
-        if margin <= threshold:
-            return PbhResult(False, complex(lam), margin)
-        best = min(best, margin)
-    return PbhResult(True, None, best)  # margin inf: no unstable eigenvalue to inspect
-
-
 def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
-    """PBH test of a matrix pair.
+    """PBH test of a matrix pair, by ``gc_classify``'s orthogonal staircase.
 
     Parameters
     ----------
     a, b : array_like
         System pair. For ``mode="detectable"`` pass b = C^T of the pair (A, C).
     mode : {"controllable", "stabilizable", "detectable"}
-        Controllability spans the reachable subspace by ``gc_classify``'s
-        staircase; stabilizability runs the eigenvector test on eigenvalues of
-        modulus >= 1 - 1e-12 only, and detectability is that on the transposed pair.
+        Controllability asks that the subspace reachable from b span the state
+        space; stabilizability that every eigenvalue of the unreachable Kalman
+        block (a compressed onto the complement of that subspace) have modulus
+        below 1 - 1e-12, and detectability is that on the transposed pair.
 
     Returns
     -------
     PbhResult
-        ``passed`` flag, an offending eigenvalue as ``witness`` (None when the
-        test passes) and a margin.  Controllability names the largest-modulus
-        mode of a off the reachable subspace, with the staircase margin; the
-        other modes report the smallest orthogonality margin met (inf if none).
+        ``passed`` flag, the largest-modulus eigenvalue of the unreachable block
+        as ``witness`` (None when the test passes) and the staircase margin.
+        Stabilizability and detectability pass at once, with margin inf, when a
+        has no eigenvalue of modulus >= 1 - 1e-12.
     """
     a, b = _as_matrix(a, "a"), _as_matrix(b, "b")
     if a.shape[0] != a.shape[1]:
         raise ValueError("a must be a square matrix")
     if b.shape[0] != a.shape[0]:
         raise ValueError("b must have as many rows as a")
-    if mode == "controllable":
-        basis, margin = _reachable_basis(a, b, PBH_TOL)
-        if basis.shape[1] == a.shape[0]:
-            return PbhResult(True, None, margin)
-        comp = np.linalg.qr(np.hstack([basis, np.eye(a.shape[0])]))[0][:, basis.shape[1] :]
-        modes = np.linalg.eigvals(comp.T @ a @ comp)  # the unreachable Kalman block
-        return PbhResult(False, complex(modes[np.argmax(np.abs(modes))]), margin)
-    if mode not in ("stabilizable", "detectable"):
+    if mode not in ("controllable", "stabilizable", "detectable"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _pbh(a.T if mode == "detectable" else a, b)
+    if mode == "detectable":
+        a = a.T
+    if mode != "controllable" and not (np.abs(np.linalg.eigvals(a)) >= 1.0 - STABILITY_MARGIN).any():
+        return PbhResult(True, None, np.inf)  # no unstable eigenvalue to inspect
+    basis, margin = _reachable_basis(a, b, PBH_TOL)
+    if basis.shape[1] == a.shape[0]:
+        return PbhResult(True, None, margin)
+    comp = np.linalg.qr(np.hstack([basis, np.eye(a.shape[0])]))[0][:, basis.shape[1] :]
+    modes = np.linalg.eigvals(comp.T @ a @ comp)  # the unreachable Kalman block
+    worst = complex(modes[np.argmax(np.abs(modes))])
+    if mode != "controllable" and abs(worst) < 1.0 - STABILITY_MARGIN:
+        return PbhResult(True, None, margin)
+    return PbhResult(False, worst, margin)
 
 
 def validate_iss(model: ISSModel, require_stationary: bool = True) -> ValidationReport:
@@ -626,8 +625,7 @@ def spectrum_of_iss(model: ISSModel, grid: np.ndarray | None = None) -> Spectral
     grid on [-pi, pi).
     """
     require_stationary(model)
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid() if grid is None else _check_grid(grid)
     h = model.frequency_response(grid)
     f = np.einsum("nij,jk,nlk->nil", h, model.V, h.conj())
     f = 0.5 * (f + f.conj().transpose(0, 2, 1))

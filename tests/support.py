@@ -20,7 +20,7 @@ from ssgc import (
     spectral_radius,
     var_to_iss,
 )
-from ssgc.model import PBH_TOL, PbhResult
+from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult
 
 
 class ReferenceScenario(NamedTuple):
@@ -292,17 +292,21 @@ def instantaneous_gem_canonical(sigma: np.ndarray, partition: JointPartition) ->
     return -float(np.sum(np.log1p(-rho2)))
 
 
-def pbh_eigenvector(a: np.ndarray, b: np.ndarray) -> PbhResult:
-    """Eigenvector PBH controllability test, an oracle for the staircase in ``pbh_test``.
+def pbh_eigenvector(a: np.ndarray, b: np.ndarray, unstable_only: bool = False) -> PbhResult:
+    """Eigenvector PBH test, an oracle for the staircase in ``pbh_test``.
 
     Fails iff some left eigenvector q of a has q^T b = 0 up to scale: one full
-    SVD of a^T - lam I per eigenvalue, O(n^4) in all.
+    SVD of a^T - lam I per eigenvalue, O(n^4) in all.  With ``unstable_only``
+    only eigenvalues of modulus >= 1 - STABILITY_MARGIN are inspected, which
+    makes it a stabilizability test.
     """
     n = a.shape[0]
     m = b.shape[1]
     threshold = PBH_TOL * max(1.0, float(np.linalg.norm(b, 2))) if b.size else 0.0
     best = np.inf
     for lam in np.linalg.eigvals(a):
+        if unstable_only and abs(lam) < 1.0 - STABILITY_MARGIN:
+            continue
         # Left-eigenvector space of a at lam is the null space of a^T - lam I.
         _, sing, vh = np.linalg.svd(a.T.astype(complex) - lam * np.eye(n))
         # Generous null threshold: defective eigenvalues are computed with

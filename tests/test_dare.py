@@ -6,14 +6,16 @@ import scipy.linalg
 
 from ssgc import (
     ConvergenceError,
+    FirFilter,
     PreconditionError,
+    apply_fir_filter,
     riccati_fixed_point,
     solve_dare,
     spectral_radius,
 )
 from ssgc.model import SSModel
 
-from support import random_ss
+from support import random_iss, random_ss
 
 
 def scalar_fixed_point(a, c, q, r, s):
@@ -141,6 +143,27 @@ def test_rejects_nonpositive_tol():
     rng = np.random.default_rng(17)
     with pytest.raises(ValueError):
         solve_dare(random_ss(rng), tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [{"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+     {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}],
+    ids=["tol0", "tol-1", "tolnan", "iter-1", "iter2.5", "iterTrue"],
+)
+def test_budget_that_cannot_stop_the_loop_is_rejected(budget):
+    """A tol that never converges or a budget that never runs out is a
+    ValueError at the Riccati core, so both of its callers raise it.  The
+    inputs converge, and a bad tol comes with a budget of 200 steps, so a core
+    without the check returns or runs out quickly instead of hanging."""
+    rng = np.random.default_rng(18)
+    mdl = random_ss(rng)
+    joint, filt = random_iss(rng, px=1, py=1), FirFilter(np.array([np.eye(2), 0.5 * np.eye(2)]))
+    kwargs = {"max_iter": 200, **budget}
+    with pytest.raises(ValueError, match="^(tol|max_iter) must be"):
+        riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, **kwargs)
+    with pytest.raises(ValueError, match="^(tol|max_iter) must be"):
+        apply_fir_filter(joint, filt, **kwargs)
 
 
 def test_warm_start_reaches_stabilizing_branch():

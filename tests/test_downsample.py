@@ -95,5 +95,6 @@ def test_unstable_model_rejected():
     import ssgc
 
     mdl = ssgc.ISSModel([[1.05]], [[1.0]], [[0.2]], [[1.0]])
-    with pytest.raises(ssgc.PreconditionError):
-        downsample_iss(mdl, 2)
+    for m in (1, 2):
+        with pytest.raises(ssgc.PreconditionError):
+            downsample_iss(mdl, m)

@@ -15,6 +15,7 @@ from ssgc import (
     gem_frequency,
     gem_time_domain,
     instantaneous_gem,
+    spectrum_of_iss,
 )
 
 from support import (
@@ -104,12 +105,28 @@ def test_frequency_integral_recovers_time_domain():
         assert fyx.curve.values.min() >= -1e-10
 
 
-def test_grid_wider_than_one_period_is_an_error():
+def test_grid_wider_than_one_period_is_an_error(monkeypatch):
+    """A grid wider than one period, or holding a NaN, is rejected by both
+    entry points before the transfer function is evaluated."""
     rng = np.random.default_rng(48)
     joint = random_iss(rng, px=1, py=1)
-    for grid in (np.linspace(-np.pi, 3 * np.pi, 512, endpoint=False), np.array([0.0, 10.0])):
-        with pytest.raises(ValueError, match="one period"):
-            gem_frequency(joint, grid)
+    nan_grid = default_grid(512)
+    nan_grid[100] = np.nan
+    bad_grids = [
+        (np.linspace(-np.pi, 3 * np.pi, 512, endpoint=False), "one period"),
+        (np.array([0.0, 10.0]), "one period"),
+        (nan_grid, "non-finite"),
+    ]
+    with monkeypatch.context() as patch:
+
+        def refuse(self, grid):
+            raise AssertionError("the transfer function was evaluated")
+
+        patch.setattr(ISSModel, "frequency_response", refuse)
+        for grid, message in bad_grids:
+            for entry in (gem_frequency, spectrum_of_iss):
+                with pytest.raises(ValueError, match=message):
+                    entry(joint, grid)
     # A closed grid spanning exactly 2 pi is the closed trapezoid rule: with
     # f(-pi) = f(pi) it equals the open rule on its first 512 points.
     closed = gem_frequency(joint, np.linspace(-np.pi, np.pi, 513))

@@ -23,7 +23,7 @@ from ssgc import (
     validate_iss,
     var_to_iss,
 )
-from ssgc.model import PBH_TOL, require_stationary
+from ssgc.model import PBH_TOL, STABILITY_MARGIN, require_stationary
 
 from support import (
     bivariate_var,
@@ -157,21 +157,61 @@ def _random_pair(rng):
     return rng.standard_normal((n, n)), rng.standard_normal((n, m)), np.array([])
 
 
-@pytest.mark.parametrize("make", [_random_pair, _planted_pair, _diagonal_pair, _jordan_pair])
-def test_pbh_controllable_matches_the_eigenvector_test(make):
-    """The staircase verdict equals the eigenvector test's; a failure names an
-    eigenvalue of the unreachable block A22 and a finite margin."""
+def _as_mode(a, b, mode):
+    """The pair that pbh_test in `mode` reads as (a, b): detectability is
+    stabilizability of the transposed pair."""
+    return (a.T, b) if mode == "detectable" else (a, b)
+
+
+@pytest.mark.parametrize(
+    "make,mode",
+    [
+        pytest.param(make, mode, id=make.__name__ + ("" if mode == "controllable" else "-" + mode))
+        for mode in ("controllable", "stabilizable", "detectable")
+        for make in (_random_pair, _planted_pair, _diagonal_pair, _jordan_pair)
+    ],
+)
+def test_pbh_controllable_matches_the_eigenvector_test(make, mode):
+    """The staircase verdict equals the eigenvector test's, restricted to the
+    unstable eigenvalues for stabilizability and detectability; a failure names
+    an eigenvalue of the unreachable block A22 (an unstable one for those two
+    modes) and a finite margin."""
     rng = np.random.default_rng(11)
+    unstable_only = mode != "controllable"
     failures = 0
     for _ in range(300):
         a, b, a22 = make(rng)
-        res = pbh_test(a, b, "controllable")
-        assert res.passed == pbh_eigenvector(a, b).passed
-        assert np.isfinite(res.margin)
+        res = pbh_test(*_as_mode(a, b, mode), mode)
+        assert res.passed == pbh_eigenvector(a, b, unstable_only).passed
+        # margin inf exactly on a vacuous pass: a stable a, not controllability
+        vacuous = unstable_only and spectral_radius(a) < 1.0 - STABILITY_MARGIN
+        assert np.isinf(res.margin) == vacuous
         if not res.passed:
             failures += 1
             assert np.abs(a22 - res.witness).min() < 1e-8
-    assert failures == 0 if make is _random_pair else failures > 100
+            if unstable_only:
+                assert abs(res.witness) >= 1.0 - STABILITY_MARGIN
+    if make is _random_pair:
+        assert failures == 0
+    else:
+        assert failures > (100 if mode == "controllable" else 50)
+
+
+@pytest.mark.parametrize("mode", ["controllable", "stabilizable", "detectable"])
+def test_pbh_on_empty_state_and_empty_gain(mode):
+    """n = 0 passes every mode with margin inf.  A gain with no columns reaches
+    nothing: it fails controllability, and fails stabilizability exactly when
+    a has an unstable eigenvalue, which it names as the witness."""
+    for b in (np.zeros((0, 0)), np.zeros((0, 2))):
+        assert pbh_test(np.zeros((0, 0)), b, mode) == (True, None, np.inf)
+    empty = np.zeros((2, 0))
+    res = pbh_test(np.diag([0.5, 1.5]), empty, mode)
+    assert (res.passed, res.witness, res.margin) == (False, 1.5, 0.0)
+    res = pbh_test(np.diag([0.5, 0.3]), empty, mode)
+    if mode == "controllable":
+        assert (res.passed, res.witness, res.margin) == (False, 0.5, 0.0)
+    else:
+        assert res == (True, None, np.inf)
 
 
 def test_pbh_controllable_is_backward_stable_on_a_nearly_defective_pair():
@@ -180,16 +220,18 @@ def test_pbh_controllable_is_backward_stable_on_a_nearly_defective_pair():
     The staircase says so, and its witness is an eigenvalue of that nearby pair
     (a defective block moves by the fourth root of the perturbation); the
     eigenvector test looks only at the exact eigenvalue, sees a margin of 1e-3
-    and passes."""
+    and passes.  Every eigenvalue is unstable, so the same holds for
+    stabilizability, and for detectability on the transposed pair."""
     a = 1.2 * np.eye(4) + np.eye(4, k=1)
     b = np.array([[1.0], [1.0], [1.0], [1e-3]])
     krylov = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(4)])
     assert np.linalg.svd(krylov, compute_uv=False).min() < 1e-9
-    res = pbh_test(a, b, "controllable")
-    assert not res.passed
-    assert 0.0 < res.margin <= PBH_TOL * np.linalg.norm(a, 2)
-    assert abs(res.witness - 1.2) < 1e-2
-    assert pbh_eigenvector(a, b).passed
+    for mode in ("controllable", "stabilizable", "detectable"):
+        res = pbh_test(*_as_mode(a, b, mode), mode)
+        assert not res.passed
+        assert 0.0 < res.margin <= PBH_TOL * np.linalg.norm(a, 2)
+        assert abs(res.witness - 1.2) < 1e-2
+        assert pbh_eigenvector(a, b, unstable_only=mode != "controllable").passed
 
 
 @pytest.mark.parametrize("mode", ["controllable", "stabilizable", "detectable"])
@@ -429,16 +471,55 @@ def test_uniform_transfer_on_hrf_filtered_references(monkeypatch):
         assert _relative_error(mdl.frequency_response(grid), want) < 1e-12
 
 
-@pytest.mark.parametrize("rho", [0.999, 0.99999, 1.0 - 1e-7])
-def test_uniform_transfer_near_a_unit_root(monkeypatch, rho):
+def _coupled_real_root(rho):
     """A real root rho next to the grid point lambda = 0, non-normally coupled
     to a second mode; A^N has barely decayed (rho^4096 = 0.9996 at 1 - 1e-7)."""
-    _refuse_dense_rule(monkeypatch)
     a = np.array([[rho, 0.3], [0.0, -0.6]])
     mdl = ISSModel(a, np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([[1.0, 0.0], [0.3, 1.0]]), np.eye(2))
-    grid = default_grid()
+    return mdl, default_grid(), 1e-11
+
+
+def _nonnormal_rotation():
+    """rho = 0.99999, rho^4096 = 0.96, but ||A^4096||_1 = 21."""
+    cos, sin = np.cos(0.3), np.sin(0.3)
+    a = 0.99999 * np.array([[cos, -50.0 * sin], [sin / 50.0, cos]])
+    mdl = ISSModel(a, np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([[1.0, 0.0], [0.3, 1.0]]), np.eye(2))
+    return mdl, default_grid(4096), 1e-12
+
+
+def _hrf_near_one_sided():
+    """The HRF-filtered NEAR_ONE_SIDED design on 512 points: ||A^512||_1 = 2."""
+    return hrf_filtered_references()[2], default_grid(512), 1e-12
+
+
+def _jordan_block(rho):
+    """J_6(rho) with superdiagonal 0.5: ||A^512||_1 up to 9e9 at rho = 0.9999."""
+    rng = np.random.default_rng(14)
+    a = rho * np.eye(6) + 0.5 * np.eye(6, k=1)
+    mdl = ISSModel(a, rng.standard_normal((2, 6)), rng.standard_normal((6, 2)), np.eye(2))
+    return mdl, default_grid(512), 1e-12
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _coupled_real_root(0.999), id="0.999"),
+        pytest.param(lambda: _coupled_real_root(0.99999), id="0.99999"),
+        pytest.param(lambda: _coupled_real_root(1.0 - 1e-7), id="0.9999999"),
+        pytest.param(_nonnormal_rotation, id="nonnormal-rotation"),
+        pytest.param(_hrf_near_one_sided, id="hrf-near-one-sided"),
+        pytest.param(lambda: _jordan_block(0.99), id="jordan-0.99"),
+        pytest.param(lambda: _jordan_block(0.999), id="jordan-0.999"),
+        pytest.param(lambda: _jordan_block(0.9999), id="jordan-0.9999"),
+    ],
+)
+def test_uniform_transfer_near_a_unit_root(monkeypatch, case):
+    """Stable A whose A^N has not decayed in the 1-norm still takes the uniform
+    rule: a later squaring certifies rho(A) < 1."""
+    _refuse_dense_rule(monkeypatch)
+    mdl, grid, tol = case()
     want = transfer_function_pointwise(mdl, grid)
-    assert _relative_error(mdl.frequency_response(grid), want) < 1e-11
+    assert _relative_error(mdl.frequency_response(grid), want) < tol
 
 
 def test_transfer_of_a_stateless_model_is_exactly_identity():
