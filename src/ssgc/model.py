@@ -373,7 +373,8 @@ class SpectralCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = _check_grid(self.grid)
+        # Freeze copies, never the caller's arrays (astype below copies values).
+        grid = _check_grid(self.grid).copy()
         values = np.asarray(self.values)
         if len(grid) != len(values):
             raise ValueError("grid and values must have matching leading length")
@@ -413,7 +414,7 @@ class AutocovarianceSequence:
     gammas: np.ndarray  # (h_max + 1, p, p)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.gammas, dtype=float)
+        g = np.array(self.gammas, dtype=float)  # a copy, frozen below
         if g.ndim != 3 or g.shape[1] != g.shape[2]:
             raise ValueError("gammas must have shape (h_max + 1, p, p)")
         g.setflags(write=False)

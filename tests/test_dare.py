@@ -9,13 +9,14 @@ from ssgc import (
     FirFilter,
     PreconditionError,
     apply_fir_filter,
+    extract_submodel,
     riccati_fixed_point,
     solve_dare,
     spectral_radius,
 )
 from ssgc.model import SSModel
 
-from support import random_iss, random_ss
+from support import hrf_filtered_references, random_iss, random_ss
 
 
 def scalar_fixed_point(a, c, q, r, s):
@@ -139,18 +140,30 @@ def test_iteration_budget_enforced():
         solve_dare(random_ss(rng, n=4), max_iter=3)
 
 
+def test_budget_is_counted_in_doubling_steps():
+    """Two steps reach P_2 only; a slow scalar solve (about 13 steps) names
+    its budget in steps when that is all it gets."""
+    mdl = SSModel([[0.9999]], [[1.0]], [[1e-4]], [[1.0]], [[0.005]])
+    with pytest.raises(ConvergenceError, match="in 2 steps"):
+        solve_dare(mdl, max_iter=2)
+    assert solve_dare(mdl).iterations <= 20
+
+
 def test_rejects_nonpositive_tol():
     rng = np.random.default_rng(17)
     with pytest.raises(ValueError):
         solve_dare(random_ss(rng), tol=0.0)
 
 
-@pytest.mark.parametrize(
+BAD_BUDGETS = pytest.mark.parametrize(
     "budget",
     [{"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
      {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}],
     ids=["tol0", "tol-1", "tolnan", "iter-1", "iter2.5", "iterTrue"],
 )
+
+
+@BAD_BUDGETS
 def test_budget_that_cannot_stop_the_loop_is_rejected(budget):
     """A tol that never converges or a budget that never runs out is a
     ValueError at the Riccati core, so both of its callers raise it.  The
@@ -164,6 +177,101 @@ def test_budget_that_cannot_stop_the_loop_is_rejected(budget):
         riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, **kwargs)
     with pytest.raises(ValueError, match="^(tol|max_iter) must be"):
         apply_fir_filter(joint, filt, **kwargs)
+
+
+def test_doubling_iterates_are_the_loops_powers_of_two():
+    """history[j] of solve_dare is P_{2^(j-1)} of the zero-started recursion."""
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        mdl = random_ss(rng)
+        sol = solve_dare(mdl, keep_history=True)
+        *_, loop = riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, keep_history=True)
+        assert len(sol.history) == sol.iterations + 1
+        assert not sol.history[0].any()
+        np.testing.assert_allclose(sol.history[1], mdl.q_s, rtol=1e-14, atol=1e-14)
+        compared = 0
+        for j in range(1, len(sol.history)):
+            if 2 ** (j - 1) >= len(loop):
+                break
+            ref = loop[2 ** (j - 1)]
+            assert np.linalg.norm(sol.history[j] - ref) <= 1e-10 * np.linalg.norm(ref)
+            compared += 1
+        assert compared >= 3
+
+
+def test_recorded_stall_takes_a_few_doublings():
+    """The x-submodel of HRF-filtered NEAR_ONE_SIDED took 4839 fixed-point
+    steps, stalling near its tolerance; doubling reaches the same K and V."""
+    joint = hrf_filtered_references()[2]
+    sub = extract_submodel(joint, "x")
+    kv = joint.K @ joint.V
+    q = kv @ joint.K.T
+    marginal = SSModel(joint.A, joint.C[:1], 0.5 * (q + q.T), joint.V[:1, :1], kv[:, :1])
+    assert solve_dare(marginal).iterations <= 10
+    _, k, v, *_ = riccati_fixed_point(
+        marginal.A, marginal.C, marginal.Q, marginal.R, marginal.S
+    )
+    assert np.linalg.norm(sub.K - k) <= 1e-10 * np.linalg.norm(k)
+    assert np.linalg.norm(sub.V - v) <= 1e-10 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("a", [0.9999, 1.0 - 1e-7])
+@pytest.mark.parametrize(
+    "c, q, r, s",
+    [(1.0, 1.0, 1.0, 0.0), (1.0, 1e-4, 1.0, 0.005), (0.5, 1e-6, 2.0, 0.0)],
+    ids=["fast", "slow", "slowest"],
+)
+def test_near_unit_root_scalar(a, c, q, r, s):
+    """Closed-loop radius up to 0.9996: thousands of fixed-point steps, a
+    few more doublings."""
+    sol = solve_dare(SSModel([[a]], [[c]], [[q]], [[r]], [[s]]))
+    assert sol.P[0, 0] == pytest.approx(scalar_fixed_point(a, c, q, r, s), rel=1e-9)
+    assert abs(a - sol.K[0, 0] * c) < 1.0
+
+
+@pytest.mark.parametrize("r, s_scale", [(1.0, 0.0), (2.0, 0.5)])
+def test_defective_shift_register_matches_scipy(r, s_scale):
+    """J_6(0.95), one Jordan block, driven at its first state and seen at its
+    last, as in an FIR shift register."""
+    n = 6
+    a = 0.95 * np.eye(n) + np.eye(n, k=-1)
+    c = np.zeros((1, n))
+    c[0, -1] = 1.0
+    b = np.zeros((n, 1))
+    b[0, 0] = 1.0
+    mdl = SSModel(a, c, b @ b.T, [[r]], s_scale * b)
+    sol = solve_dare(mdl)
+    ref = scipy.linalg.solve_discrete_are(a.T, c.T, mdl.Q, mdl.R, s=mdl.S)
+    assert np.abs(sol.P - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert spectral_radius(a - sol.K @ c) < 1.0
+
+
+def test_stable_a_with_unstable_a_s():
+    """A stable, A_s = A - S R^{-1} C unstable: the doubling starts from an
+    unstable A_0 and still reaches the stabilizing solution."""
+    sol = solve_dare(SSModel([[0.5]], [[1.0]], [[1.5]], [[1.0]], [[-1.0]]))  # A_s = 1.5
+    assert sol.P[0, 0] == pytest.approx(scalar_fixed_point(0.5, 1.0, 1.5, 1.0, -1.0), rel=1e-12)
+    assert abs(0.5 - sol.K[0, 0]) < 1.0
+
+    rng = np.random.default_rng(20)
+    unstable = 0
+    for _ in range(100):
+        mdl = random_ss(rng)
+        if spectral_radius(mdl.a_s) < 1.0:
+            continue
+        unstable += 1
+        sol = solve_dare(mdl)
+        ref = scipy.linalg.solve_discrete_are(mdl.A.T, mdl.C.T, mdl.Q, mdl.R, s=mdl.S)
+        assert np.abs(sol.P - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+        assert spectral_radius(mdl.A - sol.K @ mdl.C) < 1.0
+    assert unstable >= 10
+
+
+@BAD_BUDGETS
+def test_doubling_rejects_a_budget_that_cannot_stop(budget):
+    rng = np.random.default_rng(18)
+    with pytest.raises(ValueError, match="^(tol|max_iter) must be"):
+        solve_dare(random_ss(rng), **{"max_iter": 200, **budget})
 
 
 def test_warm_start_reaches_stabilizing_branch():

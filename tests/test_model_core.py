@@ -10,12 +10,15 @@ import scipy.linalg
 
 import ssgc.model
 from ssgc import (
+    AutocovarianceSequence,
     ISSModel,
     JointPartition,
     PreconditionError,
+    SpectralCurve,
     SSModel,
     autocovariance_of_iss,
     default_grid,
+    gem_frequency,
     pbh_test,
     solve_lyapunov,
     spectral_radius,
@@ -79,6 +82,27 @@ def test_model_arrays_are_read_only():
     mdl = random_iss(rng, n=3, px=1, py=1)
     with pytest.raises(ValueError):
         mdl.A[0, 0] = 99.0
+
+
+def test_frozen_fields_are_copies_of_the_callers_arrays():
+    """Curves and autocovariance sequences freeze their own copies: the
+    caller's arrays stay writable, and writing them changes no frozen field."""
+    rng = np.random.default_rng(0)
+    mdl = random_iss(rng, n=2, px=1, py=1)
+    grid = default_grid(64)
+    values = np.ones(64)
+    gammas = np.ones((3, 2, 2))
+    frozen = [
+        (spectrum_of_iss(mdl, grid).grid, grid),
+        (gem_frequency(mdl, grid).curve.grid, grid),
+        (SpectralCurve(grid, values).values, values),
+        (AutocovarianceSequence(gammas).gammas, gammas),
+    ]
+    for field, source in frozen:
+        before = field.copy()
+        source[0] = 0.5  # raised "assignment destination is read-only" when frozen in place
+        assert not field.flags.writeable
+        assert np.array_equal(field, before)
 
 
 def test_spectral_radius_known_matrix():
