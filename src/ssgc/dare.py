@@ -4,25 +4,16 @@ The fixed point solved is
 
     P = A P A^T + Q - K V K^T,   V = R + C P C^T,   K = (A P C^T + S) V^{-1}.
 
-Two recursions share one gain pass (V, its Cholesky factor, K and the
-Riccati map at an iterate); a Cholesky failure of V is a hard error signaling
-violated preconditions.
-
-* ``solve_dare`` starts from P_0 = 0 and runs the structure-preserving
-  doubling algorithm (Chu, Fan & Lin 2005; Anderson & Moore 1979) on the
-  model with its cross term removed, A_s = A - S R^{-1} C and
-  Q_s = Q - S R^{-1} S^T.  From A_0 = A_s^T, G_0 = C^T R^{-1} C, H_0 = Q_s,
-
-      W = I + G_k H_k,
-      A_{k+1} = A_k W^{-1} A_k,
-      G_{k+1} = G_k + A_k W^{-1} G_k A_k^T,
-      H_{k+1} = H_k + A_k^T H_k W^{-1} A_k,
-
-  and H_k is P_{2^k} of the zero-started fixed-point sequence, so k doublings
-  reach the iterate the plain recursion reaches in 2^k steps.
-* ``riccati_fixed_point`` runs the plain recursion from any PSD start (the
-  state covariance, for FIR filtering), monotone nondecreasing from P_0 = 0
-  under the standard admissibility conditions.
+One core, ``riccati_fixed_point``, serves every solve: ``solve_dare`` starts
+it at P_0 = 0, FIR filtering at the state covariance Pi.  X = P - Pi obeys
+the same recursion on (A - K(Pi) C, F(Pi) - Pi, V(Pi)) with no cross term,
+F being the Riccati map, and the structure-preserving doubling algorithm
+(Chu, Fan & Lin 2005) reaches its 2^k-th iterate in k steps.  Newton-Hewer
+steps (Hewer 1971), one Stein equation on A - K C each, refine the result.
+At Pi = 0 the shifted model is (A_s, Q_s, R) with A_s = A - S R^{-1} C and
+Q_s = Q - S R^{-1} S^T, and the iterates are monotone nondecreasing under
+the standard admissibility conditions.  A Cholesky failure of V is a hard
+error signaling violated preconditions.
 """
 
 from __future__ import annotations
@@ -32,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .model import SSModel, pbh_test
+from .model import SSModel, pbh_test, solve_lyapunov
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_DOUBLINGS = 64
 
 __all__ = ["DareSolution", "solve_dare", "riccati_fixed_point"]
@@ -54,12 +44,13 @@ class DareSolution:
     V : (p, p) ndarray
         Innovation covariance R + C P C^T, positive definite.
     iterations : int
-        Steps performed: P_0 -> P_1 is the first, each doubling one more.
+        Steps performed: P_0 -> P_1 is the first, each doubling and each
+        Newton step one more.
     residual : float
         Frobenius norm of P - (A P A^T + Q - K V K^T) at the returned P.
     history : tuple of ndarray, optional
-        Iterates P_0, P_1, P_2, P_4, ... (one per step) when requested, else
-        empty.
+        Iterates P_0, P_1, P_2, P_4, ..., then the Newton iterates (one per
+        step) when requested, else empty.
     """
 
     P: np.ndarray
@@ -68,13 +59,6 @@ class DareSolution:
     iterations: int
     residual: float
     history: tuple = ()
-
-
-def _chol_solve_t(chol_lower: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Return m @ V^{-1} given the lower Cholesky factor of V."""
-    # V^{-1} m^T via two triangular-structured solves, then transpose back.
-    y = np.linalg.solve(chol_lower, m.T)
-    return np.linalg.solve(chol_lower.T, y).T
 
 
 def _check_budget(tol: float, max_iter: int) -> None:
@@ -91,14 +75,14 @@ def _gain_pass(a, c, q, r, s, p, iterations: int):
     v = r + cp @ c.T
     v = 0.5 * (v + v.T)
     try:
-        chol = np.linalg.cholesky(v)
+        np.linalg.cholesky(v)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(
             "innovation covariance is not positive definite at iterate "
             f"{iterations}; the model violates the solver preconditions"
         ) from exc
     m = a @ cp.T + s
-    k = _chol_solve_t(chol, m)
+    k = np.linalg.solve(v, m.T).T
     return k, v, a @ p @ a.T + q - m @ k.T
 
 
@@ -113,68 +97,51 @@ def riccati_fixed_point(
     r: np.ndarray,
     s: np.ndarray,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = DEFAULT_MAX_DOUBLINGS,
     p0: np.ndarray | None = None,
     keep_history: bool = False,
 ):
-    """Run the Riccati recursion from p0 (zero by default).
+    """Riccati fixed point reached from the start Pi = p0 (zero by default).
 
-    Returns (P, K, V, iterations, residual, history).  Convergence is declared
-    when ||P_{t+1} - P_t||_F <= tol * max(1, ||P_{t+1}||_F).  Raises ValueError
+    Returns (P, K, V, iterations, residual, history).  Doubling stops when
+    consecutive entries of Pi, Pi + X_1, Pi + X_2, Pi + X_4, ... differ by at
+    most tol * max(1, ||P||_F); Newton-Hewer steps follow while the residual
+    ||P - F(P)||_F is above that bound and still falling.  Pi -> Pi + X_1 is
+    one step, each doubling and each Newton step one more; ``iterations``
+    counts them, max_iter bounds them, and ``history`` (when requested) holds
+    Pi and the iterate after each step.  Raises ValueError
     unless tol is finite and positive and max_iter a non-negative integer,
-    PreconditionError if some iterate's innovation covariance fails its
-    Cholesky factorization and ConvergenceError when the budget is exhausted.
+    PreconditionError if V fails its Cholesky factorization at Pi or at an
+    iterate, or a Newton step meets an unstable A - K C, and ConvergenceError
+    when the doubling exhausts the budget.
     """
     _check_budget(tol, max_iter)
     n = a.shape[0]
-    p = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
-    history: list[np.ndarray] = [p.copy()] if keep_history else []
-    iterations = 0
-    converged = False
-    # Each pass computes the gain at p; the pass after convergence computes it
-    # at the returned P and gives the residual instead of a further step.
-    while True:
-        k, v, p_next = _gain_pass(a, c, q, r, s, p, iterations)
-        if converged:
-            break
-        if iterations == max_iter:
-            raise ConvergenceError(f"Riccati recursion did not converge in {max_iter} steps")
-        iterations += 1
-        p_next = 0.5 * (p_next + p_next.T)
-        step = p_next - p
-        p = p_next
-        if keep_history:
-            history.append(p.copy())
-        converged = _converged(step, p, tol)
-
-    residual = float(np.linalg.norm(p - p_next))
-    return p, k, v, iterations, residual, tuple(history)
-
-
-def _riccati_doubling(model: SSModel, tol: float, max_iter: int, keep_history: bool):
-    """Zero-started Riccati solve by doubling; same returns and errors as
-    ``riccati_fixed_point``, with max_iter counting steps of P_0, P_1, P_2,
-    P_4, ... and convergence tested between consecutive entries."""
-    _check_budget(tol, max_iter)
-    n = model.n
-    a_k = model.a_s.T
-    g = model.C.T @ np.linalg.solve(model.R, model.C)
+    pi = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
+    # Doubling on X = P - Pi: W = I + G_k H_k, A_{k+1} = A_k W^{-1} A_k,
+    # G_{k+1} = G_k + A_k W^{-1} G_k A_k^T, H_{k+1} = H_k + A_k^T H_k W^{-1} A_k
+    # from A_0 = (A - K(Pi) C)^T, G_0 = C^T V(Pi)^{-1} C, H_0 = F(Pi) - Pi
+    # gives H_k = X_{2^k}.
+    k, v, f_pi = _gain_pass(a, c, q, r, s, pi, 0)
+    a_k = (a - k @ c).T
+    g = c.T @ np.linalg.solve(v, c)
     g = 0.5 * (g + g.T)
-    p_next = model.q_s
-    p, eye = np.zeros((n, n)), np.eye(n)
-    history: list[np.ndarray] = [p.copy()] if keep_history else []
+    x_next = 0.5 * (f_pi + f_pi.T) - pi
+    x, eye = np.zeros((n, n)), np.eye(n)
+    history: list[np.ndarray] = [pi.copy()] if keep_history else []
     for iterations in range(1, max_iter + 1):
         if iterations > 1:
-            # P_{2^(k+1)} from P_{2^k} = p = H_k; one solve gives W^{-1} [A_k, G_k].
-            w_inv = np.linalg.solve(eye + g @ p, np.concatenate((a_k, g), axis=1))
+            # X_{2^(k+1)} from X_{2^k} = x = H_k; one solve gives W^{-1} [A_k, G_k].
+            w_inv = np.linalg.solve(eye + g @ x, np.concatenate((a_k, g), axis=1))
             w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
-            p_next = p + a_k.T @ p @ w_inv_a
-            p_next = 0.5 * (p_next + p_next.T)
+            x_next = x + a_k.T @ x @ w_inv_a
+            x_next = 0.5 * (x_next + x_next.T)
             g = g + a_k @ w_inv_g @ a_k.T
             g = 0.5 * (g + g.T)
             a_k = a_k @ w_inv_a
-        step = p_next - p
-        p = p_next
+        step = x_next - x
+        x = x_next
+        p = pi + x
         if keep_history:
             history.append(p.copy())
         if _converged(step, p, tol):
@@ -182,8 +149,22 @@ def _riccati_doubling(model: SSModel, tol: float, max_iter: int, keep_history: b
     else:
         raise ConvergenceError(f"Riccati doubling did not converge in {max_iter} steps")
 
-    k, v, p_map = _gain_pass(model.A, model.C, model.Q, model.R, model.S, p, iterations)
-    return p, k, v, iterations, float(np.linalg.norm(p - p_map)), tuple(history)
+    k, v, p_map = _gain_pass(a, c, q, r, s, p, iterations)
+    residual = float(np.linalg.norm(p - p_map))
+    # Newton-Hewer: P = (A - K C) P (A - K C)^T + [I, -K] [[Q, S], [S^T, R]] [I, -K]^T
+    # at the gain K of the previous P.
+    while residual > tol * max(1.0, float(np.linalg.norm(p))) and iterations < max_iter:
+        ks = k @ s.T
+        p_new = solve_lyapunov(a - k @ c, q - ks - ks.T + k @ r @ k.T)
+        k_new, v_new, p_map = _gain_pass(a, c, q, r, s, p_new, iterations + 1)
+        residual_new = float(np.linalg.norm(p_new - p_map))
+        if not residual_new < residual:
+            break
+        p, k, v, residual = p_new, k_new, v_new, residual_new
+        iterations += 1
+        if keep_history:
+            history.append(p.copy())
+    return p, k, v, iterations, residual, tuple(history)
 
 
 def _check_preconditions(model: SSModel) -> None:
@@ -235,19 +216,19 @@ def solve_dare(
         Relative Frobenius convergence tolerance between consecutive entries
         of P_0, P_1, P_2, P_4, ..., finite and positive.
     max_iter : int
-        Step budget, a non-negative integer: P_0 -> P_1 is one step and each
-        doubling P_{2^k} -> P_{2^(k+1)} one more, so the default of 64 steps
-        covers 2^63 steps of the plain recursion and a solve that cannot
-        converge fails at once.
+        Step budget, a non-negative integer: P_0 -> P_1 is one step, each
+        doubling P_{2^k} -> P_{2^(k+1)} and each Newton step one more, so the
+        default of 64 steps covers 2^63 steps of the plain recursion and a
+        solve that cannot converge fails at once.
     keep_history : bool
-        Store the iterates P_0, P_1, P_2, P_4, ... in the solution (for
-        diagnostics); ``len(history) == iterations + 1``.
+        Store the iterates P_0, P_1, P_2, P_4, ... and the Newton iterates in
+        the solution (for diagnostics); ``len(history) == iterations + 1``.
 
     Returns
     -------
     DareSolution
         Stabilizing solution: spectral_radius(A - K C) < 1 and V > 0; its
-        ``iterations`` counts doubling steps.
+        ``iterations`` counts doubling and Newton steps.
 
     Raises
     ------
@@ -257,7 +238,7 @@ def solve_dare(
         If the budget of ``max_iter`` steps runs out.
     """
     _check_preconditions(model)
-    p, k, v, iterations, residual, history = _riccati_doubling(
-        model, tol, max_iter, keep_history
+    p, k, v, iterations, residual, history = riccati_fixed_point(
+        model.A, model.C, model.Q, model.R, model.S, tol, max_iter, keep_history=keep_history
     )
     return DareSolution(p, k, v, iterations, residual, history)

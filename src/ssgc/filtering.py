@@ -4,14 +4,15 @@ Filtering a stationary ISS process z by a matrix FIR filter
 Phi(L) = Phi_0 + Phi_1 L + ... + Phi_q L^q yields another regular process
 whose ISS model is obtained from an augmented state (the original state plus
 the last q outputs) followed by a spectral-factorization Riccati solve.  The
-solve runs the fixed-point recursion started from the augmented state
-covariance (the classic innovations algorithm, monotone from above), which
-converges to the stabilizing solution even when Phi_0 is singular or the
-filter is non-minimum-phase, situations where the zero-started recursion
-either cannot start (singular innovation covariance at iterate zero) or is
-drawn to a non-stabilizing fixed point.  The all-pass split reuses the same
-solve: its minimum-phase factor is the filtered model of white noise (FIR
-filter) or of the identity-filtered model (ISS filter).
+solve is the one Riccati core of ``dare``, started from the augmented state
+covariance (the classic innovations algorithm, monotone from above): shifted
+doubling, then Newton-Hewer steps.  That start reaches the stabilizing
+solution even when Phi_0 is singular or the filter is non-minimum-phase,
+situations where the zero-started recursion either cannot start (singular
+innovation covariance at iterate zero) or is drawn to a non-stabilizing fixed
+point.  The all-pass split reuses the same solve: its minimum-phase factor
+is the filtered model of white noise (FIR filter) or of the identity-filtered
+model (ISS filter).
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dare import DEFAULT_MAX_ITER, DEFAULT_TOL, riccati_fixed_point
+from .dare import DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, riccati_fixed_point
 from .errors import ConvergenceError, PreconditionError
 from .model import (
     ISSModel,
     JointPartition,
+    _check_grid,
     default_grid,
     require_stationary,
     solve_lyapunov,
@@ -150,7 +152,7 @@ def apply_fir_filter(
     joint: ISSModel,
     filt: FirFilter,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = DEFAULT_MAX_DOUBLINGS,
 ) -> ISSModel:
     """ISS model of the FIR-filtered process Phi(L) z.
 
@@ -166,7 +168,8 @@ def apply_fir_filter(
     tol : float
         Riccati convergence tolerance.
     max_iter : int
-        Riccati iteration budget.
+        Riccati step budget: each doubling and each Newton step is one step,
+        so the default of 64 covers 2^63 steps of the plain recursion.
 
     Returns
     -------
@@ -223,7 +226,9 @@ def apply_fir_filter(
             "may vanish on the unit circle)"
         ) from exc
     rho = spectral_radius(a - k_gain @ c)
-    if rho >= 1.0 - 1e-10 or residual > 10.0 * tol * max(1.0, float(np.linalg.norm(p_fix, "fro"))):
+    # Doubling resolves 1 - rho only to about sqrt(eps).
+    scale = max(1.0, float(np.linalg.norm(p_fix, "fro")))
+    if rho >= 1.0 - 4.0 * np.sqrt(np.finfo(float).eps) or residual > 10.0 * tol * scale:
         raise ConvergenceError(
             "no stabilizing factorization of the filtered process found "
             f"(error spectral radius {rho:.6g}, residual {residual:.3g})"
@@ -257,7 +262,7 @@ def allpass_decompose(
     sigma: np.ndarray | None = None,
     grid: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = DEFAULT_MAX_DOUBLINGS,
 ) -> AllPassDecomposition:
     """Split a filter spectrum G Sigma G* into minimum-phase and all-pass parts.
 
@@ -271,7 +276,10 @@ def allpass_decompose(
         ``sigma`` (identity when omitted).
     grid : ndarray, optional
         Evaluation grid for the all-pass factor; defaults to 4096 uniform
-        points on [-pi, pi).
+        points on [-pi, pi).  It must be 1-D, finite, strictly increasing and
+        span at most one period (ValueError otherwise).
+    tol, max_iter
+        Riccati tolerance and step budget, as in ``apply_fir_filter``.
 
     Returns
     -------
@@ -279,9 +287,7 @@ def allpass_decompose(
         Minimum-phase model (G_o, V_o), sampled all-pass factor E and the two
         deviation checks.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid() if grid is None else _check_grid(grid)
 
     if isinstance(filter_model, ISSModel):
         if sigma is not None:

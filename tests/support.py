@@ -20,6 +20,8 @@ from ssgc import (
     spectral_radius,
     var_to_iss,
 )
+from ssgc.dare import DEFAULT_TOL, _check_budget, _converged, _gain_pass
+from ssgc.errors import ConvergenceError
 from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult
 
 
@@ -333,3 +335,49 @@ def transfer_function_pointwise(model: ISSModel, grid: np.ndarray) -> np.ndarray
         eye_p + model.C @ np.linalg.solve(np.exp(1j * lam) * eye_n - model.A, model.K)
         for lam in grid
     ])
+
+
+def riccati_loop(
+    a: np.ndarray,
+    c: np.ndarray,
+    q: np.ndarray,
+    r: np.ndarray,
+    s: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = 10**6,
+    p0: np.ndarray | None = None,
+    keep_history: bool = False,
+):
+    """Run the plain Riccati recursion from p0 (zero by default), one step at
+    a time, an oracle for ``riccati_fixed_point``.
+
+    Returns (P, K, V, iterations, residual, history).  Convergence is declared
+    when ||P_{t+1} - P_t||_F <= tol * max(1, ||P_{t+1}||_F).  Raises ValueError
+    unless tol is finite and positive and max_iter a non-negative integer,
+    PreconditionError if some iterate's innovation covariance fails its
+    Cholesky factorization and ConvergenceError when the budget is exhausted.
+    """
+    _check_budget(tol, max_iter)
+    n = a.shape[0]
+    p = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
+    history: list[np.ndarray] = [p.copy()] if keep_history else []
+    iterations = 0
+    converged = False
+    # Each pass computes the gain at p; the pass after convergence computes it
+    # at the returned P and gives the residual instead of a further step.
+    while True:
+        k, v, p_next = _gain_pass(a, c, q, r, s, p, iterations)
+        if converged:
+            break
+        if iterations == max_iter:
+            raise ConvergenceError(f"Riccati recursion did not converge in {max_iter} steps")
+        iterations += 1
+        p_next = 0.5 * (p_next + p_next.T)
+        step = p_next - p
+        p = p_next
+        if keep_history:
+            history.append(p.copy())
+        converged = _converged(step, p, tol)
+
+    residual = float(np.linalg.norm(p - p_next))
+    return p, k, v, iterations, residual, tuple(history)

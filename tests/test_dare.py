@@ -16,7 +16,7 @@ from ssgc import (
 )
 from ssgc.model import SSModel
 
-from support import hrf_filtered_references, random_iss, random_ss
+from support import hrf_filtered_references, random_iss, random_ss, riccati_loop
 
 
 def scalar_fixed_point(a, c, q, r, s):
@@ -185,7 +185,7 @@ def test_doubling_iterates_are_the_loops_powers_of_two():
     for _ in range(20):
         mdl = random_ss(rng)
         sol = solve_dare(mdl, keep_history=True)
-        *_, loop = riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, keep_history=True)
+        *_, loop = riccati_loop(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, keep_history=True)
         assert len(sol.history) == sol.iterations + 1
         assert not sol.history[0].any()
         np.testing.assert_allclose(sol.history[1], mdl.q_s, rtol=1e-14, atol=1e-14)
@@ -208,7 +208,7 @@ def test_recorded_stall_takes_a_few_doublings():
     q = kv @ joint.K.T
     marginal = SSModel(joint.A, joint.C[:1], 0.5 * (q + q.T), joint.V[:1, :1], kv[:, :1])
     assert solve_dare(marginal).iterations <= 10
-    _, k, v, *_ = riccati_fixed_point(
+    _, k, v, *_ = riccati_loop(
         marginal.A, marginal.C, marginal.Q, marginal.R, marginal.S
     )
     assert np.linalg.norm(sub.K - k) <= 1e-10 * np.linalg.norm(k)

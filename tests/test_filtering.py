@@ -17,8 +17,9 @@ from ssgc import (
     spectrum_of_iss,
     validate_iss,
 )
+import ssgc.filtering
 
-from support import random_iss
+from support import hrf_filtered_references, random_iss, riccati_loop
 
 
 def make_block_min_phase(rng, part: JointPartition, order: int = 2) -> FirFilter:
@@ -164,6 +165,55 @@ def test_unit_circle_zero_has_no_innovations_model():
         apply_fir_filter(joint, FirFilter.scalar([1.0, -1.0]), max_iter=20000)
 
 
+@pytest.mark.parametrize("taps", [[1.0, -1.0], [1.0, 1.0]], ids=["zero+1", "zero-1"])
+def test_unit_circle_zero_fails_fast_at_the_default_budget(taps):
+    joint = ISSModel(np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 1)), np.eye(1))
+    with pytest.raises(ConvergenceError):
+        apply_fir_filter(joint, FirFilter.scalar(taps))
+
+
+NEAR_UNIT = 0.999999
+
+
+@pytest.mark.parametrize(
+    "taps, v_exact",
+    [([1.0, -NEAR_UNIT], 1.0), ([-NEAR_UNIT, 1.0], 1.0), ([1.0, -1.0 / NEAR_UNIT], NEAR_UNIT**-2)],
+    ids=["inside", "reversed", "outside"],
+)
+def test_zero_near_the_unit_circle_is_factored_exactly(taps, v_exact):
+    """White noise through 1 - b L, -b + L or 1 - L / b with b = 1 - 1e-6:
+    the minimum-phase factor is 1 - b L in each case, so the innovation
+    variance is 1, 1 or 1 / b^2 and A - K C has its zero at b."""
+    white = ISSModel(np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 1)), np.eye(1))
+    out = apply_fir_filter(white, FirFilter.scalar(taps))
+    assert out.V[0, 0] == pytest.approx(v_exact, rel=1e-9)
+    rho = np.abs(np.linalg.eigvals(out.A - out.K @ out.C)).max()
+    assert rho == pytest.approx(NEAR_UNIT, abs=1e-9)
+
+
+def test_filtering_solve_matches_the_step_loop(monkeypatch):
+    """K and V of every filtering solve (the three HRF references and a
+    minimum-phase block filter) match the plain recursion from the same start."""
+    solve = ssgc.filtering.riccati_fixed_point
+    calls = []
+
+    def record(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(ssgc.filtering, "riccati_fixed_point", record)
+    hrf_filtered_references()
+    rng = np.random.default_rng(56)
+    joint = random_iss(rng)
+    apply_fir_filter(joint, make_block_min_phase(rng, joint.require_partition()))
+    assert len(calls) == 4
+    for args, kwargs, (_, k, v, *_) in calls:
+        _, k_loop, v_loop, *_ = riccati_loop(*args, **{**kwargs, "max_iter": 10**6})
+        assert np.linalg.norm(k - k_loop) <= 1e-10 * np.linalg.norm(k_loop)
+        assert np.linalg.norm(v - v_loop) <= 1e-10 * np.linalg.norm(v_loop)
+
+
 def test_allpass_split_of_scalar_moving_average():
     """G = 1 + 2L with unit noise re-factors as G_o = 1 + 0.5L with noise 4."""
     dec = allpass_decompose(FirFilter.scalar([1.0, 2.0]))
@@ -233,6 +283,20 @@ def test_allpass_split_of_iss_model():
     f_in = spectrum_of_iss(joint, grid).values
     f_out = spectrum_of_iss(dec.minimum_phase_model, grid).values
     assert np.abs(f_in - f_out).max() < 1e-7 * max(1.0, np.abs(f_in).max())
+
+
+def test_allpass_split_rejects_a_bad_grid():
+    nan_grid = default_grid(64)
+    nan_grid[10] = np.nan
+    bad_grids = [
+        nan_grid,
+        default_grid(64)[::-1],
+        np.linspace(-np.pi, 3 * np.pi, 128, endpoint=False),
+        default_grid(64).reshape(8, 8),
+    ]
+    for grid in bad_grids:
+        with pytest.raises(ValueError, match="grid"):
+            allpass_decompose(FirFilter.scalar([1.0, 2.0]), grid=grid)
 
 
 def test_allpass_sigma_only_for_fir():
