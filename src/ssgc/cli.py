@@ -212,7 +212,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gem(args) -> int:
     model = _load_model(args.model)
-    model.require_partition()
     summary = gem_time_domain(model)
     _print_table(_GEM_HEADERS, _gem_rows(summary), args.digits)
     if args.csv:
@@ -228,7 +227,6 @@ def _cmd_gem(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _load_model(args.model)
-    model.require_partition()
     result = run_scenario_sweep(model, args.factors)
     rows = [[row.factor, *_gem_rows(row.measures)[0]] for row in result.rows]
     _print_table(["m", *_GEM_HEADERS], rows, args.digits)

@@ -12,13 +12,13 @@ F being the Riccati map, and the structure-preserving doubling algorithm
 steps (Hewer 1971), one Stein equation on A - K C each, refine the result.
 At Pi = 0 the shifted model is (A_s, Q_s, R) with A_s = A - S R^{-1} C and
 Q_s = Q - S R^{-1} S^T, and the iterates are monotone nondecreasing under
-the standard admissibility conditions.  A Cholesky failure of V is a hard
-error signaling violated preconditions.
+the standard admissibility conditions.  Both return a ``DareSolution``; a
+Cholesky failure of V raises PreconditionError, divergence ConvergenceError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +31,11 @@ DEFAULT_MAX_DOUBLINGS = 64
 __all__ = ["DareSolution", "solve_dare", "riccati_fixed_point"]
 
 
-@dataclass(frozen=True, eq=False)
-class DareSolution:
-    """Stabilizing DARE solution with its gain and innovation covariance.
+class DareSolution(NamedTuple):
+    """Riccati fixed point, gain and innovation covariance, as every solve returns them.
+
+    Stabilizing when ``solve_dare`` returns it; a start ``p0`` of
+    ``riccati_fixed_point`` can reach the other branch.
 
     Attributes
     ----------
@@ -103,17 +105,17 @@ def riccati_fixed_point(
 ):
     """Riccati fixed point reached from the start Pi = p0 (zero by default).
 
-    Returns (P, K, V, iterations, residual, history).  Doubling stops when
-    consecutive entries of Pi, Pi + X_1, Pi + X_2, Pi + X_4, ... differ by at
-    most tol * max(1, ||P||_F); Newton-Hewer steps follow while the residual
-    ||P - F(P)||_F is above that bound and still falling.  Pi -> Pi + X_1 is
-    one step, each doubling and each Newton step one more; ``iterations``
-    counts them, max_iter bounds them, and ``history`` (when requested) holds
-    Pi and the iterate after each step.  Raises ValueError
+    Returns a ``DareSolution``, stabilizing at p0 = 0 under ``solve_dare``'s
+    premises.  Doubling stops when consecutive entries of Pi, Pi + X_1,
+    Pi + X_2, Pi + X_4, ... differ by at most tol * max(1, ||P||_F);
+    Newton-Hewer steps follow while the residual ||P - F(P)||_F is above that
+    bound and still falling.  ``iterations`` counts the steps as
+    ``DareSolution`` does, max_iter bounds them, and ``history`` (when
+    requested) holds Pi and the iterate after each step.  Raises ValueError
     unless tol is finite and positive and max_iter a non-negative integer,
     PreconditionError if V fails its Cholesky factorization at Pi or at an
     iterate, or a Newton step meets an unstable A - K C, and ConvergenceError
-    when the doubling exhausts the budget.
+    when the doubling exhausts the budget, overflows or meets a singular step.
     """
     _check_budget(tol, max_iter)
     n = a.shape[0]
@@ -129,25 +131,29 @@ def riccati_fixed_point(
     x_next = 0.5 * (f_pi + f_pi.T) - pi
     x, eye = np.zeros((n, n)), np.eye(n)
     history: list[np.ndarray] = [pi.copy()] if keep_history else []
-    for iterations in range(1, max_iter + 1):
-        if iterations > 1:
-            # X_{2^(k+1)} from X_{2^k} = x = H_k; one solve gives W^{-1} [A_k, G_k].
-            w_inv = np.linalg.solve(eye + g @ x, np.concatenate((a_k, g), axis=1))
-            w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
-            x_next = x + a_k.T @ x @ w_inv_a
-            x_next = 0.5 * (x_next + x_next.T)
-            g = g + a_k @ w_inv_g @ a_k.T
-            g = 0.5 * (g + g.T)
-            a_k = a_k @ w_inv_a
-        step = x_next - x
-        x = x_next
-        p = pi + x
-        if keep_history:
-            history.append(p.copy())
-        if _converged(step, p, tol):
-            break
-    else:
-        raise ConvergenceError(f"Riccati doubling did not converge in {max_iter} steps")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for iterations in range(1, max_iter + 1):
+                if iterations > 1:
+                    # X_{2^(k+1)} from H_k = X_{2^k}; one solve gives W^{-1} [A_k, G_k].
+                    w_inv = np.linalg.solve(eye + g @ x, np.concatenate((a_k, g), axis=1))
+                    w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
+                    x_next = x + a_k.T @ x @ w_inv_a
+                    x_next = 0.5 * (x_next + x_next.T)
+                    g = g + a_k @ w_inv_g @ a_k.T
+                    g = 0.5 * (g + g.T)
+                    a_k = a_k @ w_inv_a
+                step = x_next - x
+                x = x_next
+                p = pi + x
+                if keep_history:
+                    history.append(p.copy())
+                if _converged(step, p, tol):
+                    break
+            else:
+                raise ConvergenceError(f"Riccati doubling did not converge in {max_iter} steps")
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceError(f"Riccati doubling diverged at step {iterations}") from exc
 
     k, v, p_map = _gain_pass(a, c, q, r, s, p, iterations)
     residual = float(np.linalg.norm(p - p_map))
@@ -164,7 +170,7 @@ def riccati_fixed_point(
         iterations += 1
         if keep_history:
             history.append(p.copy())
-    return p, k, v, iterations, residual, tuple(history)
+    return DareSolution(p, k, v, iterations, residual, tuple(history))
 
 
 def _check_preconditions(model: SSModel) -> None:
@@ -181,11 +187,10 @@ def _check_preconditions(model: SSModel) -> None:
             f"joint noise covariance [[Q, S], [S^T, R]] is not PSD (min eigenvalue {min_eig:.3g})"
         )
 
-    qs = model.q_s
-    eigvals, vecs = np.linalg.eigh(qs)
-    eigvals = np.clip(eigvals, 0.0, None)
-    qs_half = (vecs * np.sqrt(eigvals)) @ vecs.T
-    st = pbh_test(model.a_s, qs_half, "stabilizable")
+    eigvals, vecs = np.linalg.eigh(model.q_s)
+    # Eigenvalues at rounding level count as zero: their roots would clear the staircase floor.
+    kept = eigvals > stacked.shape[0] * np.finfo(float).eps * np.abs(stacked).max()
+    st = pbh_test(model.a_s, vecs[:, kept] * np.sqrt(eigvals[kept]), "stabilizable")
     if not st.passed:
         raise PreconditionError(
             f"condition St violated: (A_s, Q_s^(1/2)) not stabilizable, eigenvalue {st.witness:.6g}"
@@ -227,18 +232,17 @@ def solve_dare(
     Returns
     -------
     DareSolution
-        Stabilizing solution: spectral_radius(A - K C) < 1 and V > 0; its
-        ``iterations`` counts doubling and Newton steps.
+        The core's result unchanged, stabilizing: spectral_radius(A - K C) < 1
+        and V > 0; its ``iterations`` counts doubling and Newton steps.
 
     Raises
     ------
     PreconditionError
         If a precondition fails.
     ConvergenceError
-        If the budget of ``max_iter`` steps runs out.
+        If the budget of ``max_iter`` steps runs out or the iterates diverge.
     """
     _check_preconditions(model)
-    p, k, v, iterations, residual, history = riccati_fixed_point(
+    return riccati_fixed_point(
         model.A, model.C, model.Q, model.R, model.S, tol, max_iter, keep_history=keep_history
     )
-    return DareSolution(p, k, v, iterations, residual, history)

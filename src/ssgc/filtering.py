@@ -217,23 +217,21 @@ def apply_fir_filter(
 
     pi = solve_lyapunov(a, q_mat)
     try:
-        p_fix, k_gain, v, _, residual, _ = riccati_fixed_point(
-            a, c, q_mat, r_mat, s_mat, tol=tol, max_iter=max_iter, p0=pi
-        )
+        sol = riccati_fixed_point(a, c, q_mat, r_mat, s_mat, tol=tol, max_iter=max_iter, p0=pi)
     except (PreconditionError, ConvergenceError) as exc:
         raise ConvergenceError(
             "the filtered process is rank deficient (its filter determinant "
             "may vanish on the unit circle)"
         ) from exc
-    rho = spectral_radius(a - k_gain @ c)
+    rho = spectral_radius(a - sol.K @ c)
     # Doubling resolves 1 - rho only to about sqrt(eps).
-    scale = max(1.0, float(np.linalg.norm(p_fix, "fro")))
-    if rho >= 1.0 - 4.0 * np.sqrt(np.finfo(float).eps) or residual > 10.0 * tol * scale:
+    scale = max(1.0, float(np.linalg.norm(sol.P, "fro")))
+    if rho >= 1.0 - 4.0 * np.sqrt(np.finfo(float).eps) or sol.residual > 10.0 * tol * scale:
         raise ConvergenceError(
             "no stabilizing factorization of the filtered process found "
-            f"(error spectral radius {rho:.6g}, residual {residual:.3g})"
+            f"(error spectral radius {rho:.6g}, residual {sol.residual:.3g})"
         )
-    return ISSModel(a, c, k_gain, v, partition=joint.partition)
+    return ISSModel(a, c, sol.K, sol.V, partition=joint.partition)
 
 
 def min_phase_check(taps) -> MinPhaseResult:

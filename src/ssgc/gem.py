@@ -116,7 +116,6 @@ def gem_time_domain(joint: ISSModel) -> GemSummary:
     covariance alone.
     """
     part = joint.require_partition()
-    require_stationary(joint)
 
     omega_x = extract_submodel(joint, "x").V
     omega_y = extract_submodel(joint, "y").V

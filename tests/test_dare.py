@@ -6,6 +6,7 @@ import scipy.linalg
 
 from ssgc import (
     ConvergenceError,
+    DareSolution,
     FirFilter,
     PreconditionError,
     apply_fir_filter,
@@ -125,6 +126,7 @@ def test_rejects_unstabilizable_pair():
         solve_dare(mdl)
 
 
+@pytest.mark.filterwarnings("error")
 def test_rejects_undetectable_pair():
     a = np.diag([1.5, 0.2])
     c = np.array([[0.0, 1.0]])  # unstable mode invisible
@@ -132,6 +134,59 @@ def test_rejects_undetectable_pair():
     mdl = SSModel(a, c, q, [[1.0]], np.zeros((2, 1)))
     with pytest.raises(PreconditionError, match="De violated"):
         solve_dare(mdl)
+    # Unchecked, P_{2^k} grows like 1.5^(2^(k+1)) until its norm overflows.
+    with pytest.raises(ConvergenceError, match="diverged at step 10"):
+        riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S)
+
+
+def test_unreachable_unit_root_is_named_at_every_angle():
+    """State 0 of A0 is a unit root no noise reaches.  In a rotated basis Q_s
+    has a rounding-level eigenvalue (about 1e-17) whose square root would
+    clear the staircase floor; St must count it as zero at every angle."""
+    a0, c0, q0 = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.3]]), np.diag([0.0, 1.0])
+    for deg in range(90):
+        cos, sin = np.cos(np.deg2rad(deg)), np.sin(np.deg2rad(deg))
+        t = np.array([[cos, -sin], [sin, cos]])
+        mdl = SSModel(t @ a0 @ t.T, c0 @ t.T, t @ q0 @ t.T, [[1.0]], np.zeros((2, 1)))
+        with pytest.raises(PreconditionError, match="St violated"):
+            solve_dare(mdl)
+
+
+def undriven_model(rng, lam, unseen):
+    """Random model whose state 0 is the mode lam, fed by no noise and no other
+    state (and, when ``unseen``, not seen by C), in a random orthonormal basis."""
+    n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+    a = rng.standard_normal((n, n))
+    a *= 0.8 / max(spectral_radius(a[1:, 1:]), 1e-3)
+    a[0] = 0.0
+    a[0, 0] = lam
+    c = rng.standard_normal((p, n))
+    if unseen:
+        c[:, 0] = 0.0
+    g = rng.standard_normal((n + p, n + p))
+    g[0] = 0.0
+    cov = g @ g.T + np.diag(np.r_[np.zeros(n), np.ones(p)])
+    t = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return SSModel(t @ a @ t.T, c @ t.T, t @ cov[:n, :n] @ t.T, cov[n:, n:], t @ cov[:n, n:])
+
+
+def test_planted_undriven_modes_are_named():
+    """solve_dare names St for every planted undriven mode of modulus >= 1;
+    the core alone returns or fails by name, a singular doubling step too."""
+    rng = np.random.default_rng(1)
+    singular = 0
+    for i in range(1500):
+        lam = (1.0, -1.0, 1.0 + 1e-9, 1.2, -1.7)[i % 5]
+        mdl = undriven_model(rng, lam, unseen=(i // 5) % 2 == 1)
+        with pytest.raises(PreconditionError, match="St violated"):
+            solve_dare(mdl)
+        try:
+            riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S)
+        except PreconditionError:
+            pass
+        except ConvergenceError as exc:
+            singular += isinstance(exc.__cause__, np.linalg.LinAlgError)
+    assert singular > 0
 
 
 def test_iteration_budget_enforced():
@@ -286,7 +341,11 @@ def test_warm_start_reaches_stabilizing_branch():
     assert p0[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert abs(0.0 - k0[0, 0] * 1.0) > 1.0  # non-stabilizing branch
 
-    p, k, v, _, residual, _ = riccati_fixed_point(a, c, q, r, s, p0=q)
+    sol = riccati_fixed_point(a, c, q, r, s, p0=q)
+    fields = ("P", "K", "V", "iterations", "residual", "history")
+    assert isinstance(sol, DareSolution) and len(sol) == len(fields)
+    assert all(getattr(sol, f) is entry for f, entry in zip(fields, sol))
+    p, k, v, _, residual, _ = sol
     assert p[0, 0] == pytest.approx(3.0, abs=1e-9)
     assert k[0, 0] == pytest.approx(0.5, abs=1e-10)
     assert v[0, 0] == pytest.approx(4.0, abs=1e-9)
