@@ -33,6 +33,7 @@ from .model import (
     DEFAULT_GRID_SIZE,
     ISSModel,
     JointPartition,
+    _is_int,
     default_grid,
     spectrum_of_iss,
     validate_iss,
@@ -62,7 +63,7 @@ def _fmt(value: float, digits: int) -> str:
 def _cell(value, digits: int) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_int(value):
         return str(int(value))
     return _fmt(value, digits)
 
@@ -107,7 +108,7 @@ def _doc_partition(doc: dict, p: int) -> JointPartition | None:
     if "px" not in doc:
         return None
     px = doc["px"]
-    if not isinstance(px, int) or isinstance(px, bool) or not 1 <= px < p:
+    if not _is_int(px) or not 1 <= px < p:
         raise ValueError(f'"px" must be an integer in [1, {p - 1}] for this model')
     return JointPartition(px, p - px)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .model import SSModel, pbh_test, solve_lyapunov
+from .model import SSModel, _is_int, pbh_test, solve_lyapunov
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_DOUBLINGS = 64
@@ -66,7 +66,7 @@ class DareSolution(NamedTuple):
 def _check_budget(tol: float, max_iter: int) -> None:
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+    if not _is_int(max_iter) or max_iter < 0:
         raise ValueError("max_iter must be a non-negative integer")
 
 

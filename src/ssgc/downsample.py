@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dare import solve_dare
-from .model import ISSModel, SSModel, require_stationary
+from .model import ISSModel, SSModel, _is_int, require_stationary
 
 __all__ = ["downsample_iss"]
 
@@ -33,7 +33,7 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     ISSModel
         Model of the downsampled process, state matrix A^m.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError("m must be an integer >= 1")
     require_stationary(model)
     if m == 1:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .model import _is_int
 
 __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 
@@ -54,7 +55,7 @@ def fit_var_ols(series: TimeSeries | np.ndarray, order: int):
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ValueError("order must be a positive integer")
     t, p = series.steps, series.channels
     if t <= p * order + 1:

@@ -154,12 +154,7 @@ def gem_frequency(
     part = joint.require_partition()
     require_stationary(joint)
     grid = default_grid() if grid is None else _check_grid(grid)
-    if direction == "y->x":
-        this, other = part.x, part.y
-    elif direction == "x->y":
-        this, other = part.y, part.x
-    else:
-        raise ValueError("direction must be 'y->x' or 'x->y'")
+    this, other = part.direction(direction)
 
     v_tt = joint.V[this, this]
     v_oo = joint.V[other, other]
@@ -195,18 +190,15 @@ def gc_classify(joint: ISSModel, tol: float = 1e-8) -> GcFlags:
     part = joint.require_partition()
     v_scale = tol * max(1.0, float(np.linalg.norm(joint.V, 2)))
 
-    def absent(c_this: np.ndarray, b_other: np.ndarray) -> bool:
-        basis, _ = _reachable_basis(joint.A, b_other, tol)
-        return bool(np.linalg.norm(c_this @ basis) <= tol * np.linalg.norm(c_this))
+    def absent(direction: str) -> bool:
+        target, source = part.direction(direction)
+        c_target = joint.C[target]
+        basis, _ = _reachable_basis(joint.A, joint.K[:, source], tol)
+        return bool(np.linalg.norm(c_target @ basis) <= tol * np.linalg.norm(c_target))
 
-    c_x = joint.C[part.x, :]
-    c_y = joint.C[part.y, :]
-    b_x = joint.K[:, part.x]
-    b_y = joint.K[:, part.y]
     cross_small = float(np.linalg.norm(joint.V[part.x, part.y], 2)) <= v_scale
-
-    yx_absent = absent(c_x, b_y)
-    xy_absent = absent(c_y, b_x)
+    yx_absent = absent("y->x")
+    xy_absent = absent("x->y")
     return GcFlags(
         wgc_y_to_x=not yx_absent,
         sgc_y_to_x=not (yx_absent and cross_small),

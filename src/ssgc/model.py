@@ -208,14 +208,24 @@ def _transfer_dense(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarra
     return h
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JointPartition:
-    """Split of a p-dimensional output into a leading X block and a trailing Y block."""
+    """Split of a p-dimensional output into a leading X block and a trailing Y block.
+
+    The one reader of block and direction names: ``block("x" | "y")`` is a block's
+    rows, ``direction("y->x" | "x->y")`` the (target, source) rows of a measure.
+    """
 
     px: int
     py: int
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.px) and _is_int(self.py)):
+            raise ValueError("partition block sizes must be integers")
         if self.px < 1 or self.py < 1:
             raise ValueError("both blocks of a partition must be non-empty")
 
@@ -230,6 +240,16 @@ class JointPartition:
     @property
     def y(self) -> slice:
         return slice(self.px, self.px + self.py)
+
+    def block(self, name: str) -> slice:
+        if name not in ("x", "y"):
+            raise ValueError("block must be 'x' or 'y'")
+        return self.x if name == "x" else self.y
+
+    def direction(self, d: str) -> tuple[slice, slice]:
+        if d not in ("y->x", "x->y"):
+            raise ValueError("direction must be 'y->x' or 'x->y'")
+        return (self.x, self.y) if d == "y->x" else (self.y, self.x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,12 +28,10 @@ from .model import (
 __all__ = ["extract_submodel", "submodel_spectrum", "log_det_spectrum_integral"]
 
 
-def _marginal_model(joint: ISSModel, idx: np.ndarray) -> ISSModel:
+def _marginal_model(joint: ISSModel, idx: slice) -> ISSModel:
     c_sub = joint.C[idx, :]
-    r_sub = joint.V[np.ix_(idx, idx)]
     kv = joint.K @ joint.V
-    q = kv @ joint.K.T
-    ss = SSModel(joint.A, c_sub, 0.5 * (q + q.T), r_sub, kv[:, idx])
+    ss = SSModel(joint.A, c_sub, kv @ joint.K.T, joint.V[idx, idx], kv[:, idx])
     sol = solve_dare(ss)
     return ISSModel(joint.A, c_sub, sol.K, sol.V, partition=None)
 
@@ -57,13 +55,7 @@ def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
     """
     part = joint.require_partition()
     require_stationary(joint)
-    if block == "x":
-        idx = np.arange(part.px)
-    elif block == "y":
-        idx = np.arange(part.px, part.p)
-    else:
-        raise ValueError("block must be 'x' or 'y'")
-    return _marginal_model(joint, idx)
+    return _marginal_model(joint, part.block(block))
 
 
 def submodel_spectrum(sub: ISSModel, grid: np.ndarray | None = None) -> SpectralCurve:

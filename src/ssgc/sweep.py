@@ -5,11 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .downsample import downsample_iss
 from .gem import GemSummary, gem_time_domain
-from .model import ISSModel
+from .model import ISSModel, _is_int
 
 __all__ = ["SweepRow", "SweepResult", "run_scenario_sweep"]
 
@@ -45,7 +43,7 @@ def run_scenario_sweep(model: ISSModel, factors) -> SweepResult:
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one downsampling factor")
-    if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1 for m in factors):
+    if any(not _is_int(m) or m < 1 for m in factors):
         raise ValueError("downsampling factors must be positive integers")
     if any(b <= a for a, b in zip(factors, factors[1:])):
         raise ValueError("downsampling factors must be strictly increasing")

@@ -156,12 +156,7 @@ def var1_fyx_closed_form(model: Var1Model, direction: str = "y->x") -> float:
     variance of x's own ARMA(1,1) reduction and the joint innovation variance;
     the value is bounded below by ln(1 + xi_x).  "x->y" swaps the roles.
     """
-    a = model.A
+    target, source = JointPartition(1, 1).direction(direction)
     rho = float(model.sigma[0, 1])
-    if direction == "y->x":
-        ratio, _ = _arma_reduction(a[0, 1], a[1, 1], rho)
-    elif direction == "x->y":
-        ratio, _ = _arma_reduction(a[1, 0], a[0, 0], rho)
-    else:
-        raise ValueError("direction must be 'y->x' or 'x->y'")
+    ratio, _ = _arma_reduction(model.A[target, source].item(), model.A[source, source].item(), rho)
     return math.log(ratio)

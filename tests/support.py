@@ -270,8 +270,7 @@ def own_noise_zeros(joint: ISSModel, direction: str = "y->x") -> np.ndarray:
     Each zero outside the unit circle lowers the frequency integral below
     the time-domain measure by 2 ln|zero| (Jensen).
     """
-    part = joint.require_partition()
-    this, other = (part.x, part.y) if direction == "y->x" else (part.y, part.x)
+    this, other = joint.require_partition().direction(direction)
     w = np.linalg.solve(joint.V[this, this], joint.V[this, other]).T
     k_e = joint.K[:, this] + joint.K[:, other] @ w
     return np.linalg.eigvals(joint.A - k_e @ joint.C[this])

@@ -69,9 +69,13 @@ def test_fit_rejects_short_records_and_collinearity():
     const = np.ones((50, 2))  # lagged regressors perfectly collinear
     with pytest.raises(ValueError):
         fit_var_ols(const, order=2)
-    for bad in (0, True):
+    for bad in (0, True, 1.0):
         with pytest.raises(ValueError):
             fit_var_ols(rng.standard_normal((50, 2)), order=bad)
+    vals = rng.standard_normal((50, 2))
+    (coeff,), sigma = fit_var_ols(vals, order=np.int64(1))  # numpy integers are orders
+    (plain,), plain_sigma = fit_var_ols(vals, order=1)
+    assert np.array_equal(coeff, plain) and np.array_equal(sigma, plain_sigma)
 
 
 def test_fitted_model_feeds_the_measure_pipeline():

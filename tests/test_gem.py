@@ -135,7 +135,7 @@ def test_grid_wider_than_one_period_is_an_error(monkeypatch):
 
 def test_frequency_direction_validated():
     rng = np.random.default_rng(43)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be 'y->x' or 'x->y'"):
         gem_frequency(random_iss(rng), direction="x->x")
 
 

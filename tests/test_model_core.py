@@ -43,9 +43,17 @@ def test_partition_slices():
     assert part.p == 5
     assert part.x == slice(0, 2)
     assert part.y == slice(2, 5)
+    assert part.block("x") == part.x
+    assert part.block("y") == part.y
+    assert part.direction("y->x") == (part.x, part.y)
+    assert part.direction("x->y") == (part.y, part.x)
+    with pytest.raises(ValueError, match="block must be 'x' or 'y'"):
+        part.block("xy")
+    with pytest.raises(ValueError, match="direction must be 'y->x' or 'x->y'"):
+        part.direction("x<-y")
 
 
-@pytest.mark.parametrize("px,py", [(0, 1), (1, 0), (-1, 2)])
+@pytest.mark.parametrize("px,py", [(0, 1), (1, 0), (-1, 2), (1.0, 1), (1, 2.5), (True, 1)])
 def test_partition_rejects_empty_blocks(px, py):
     with pytest.raises(ValueError):
         JointPartition(px, py)

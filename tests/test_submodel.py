@@ -89,7 +89,7 @@ def test_extraction_requires_partition_and_known_block():
     bare = ISSModel(joint.A, joint.C, joint.K, joint.V)
     with pytest.raises(ValueError):
         extract_submodel(bare, "x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block must be 'x' or 'y'"):
         extract_submodel(joint, "z")
 
 

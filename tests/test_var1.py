@@ -97,5 +97,5 @@ def test_design_container_validation():
 
 def test_closed_form_direction_validated():
     model = design_var1(Var1Design(0.6, -0.2, 0.1, 0.1, 0.0, sign_gx=-1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be 'y->x' or 'x->y'"):
         var1_fyx_closed_form(model, "y->y")
