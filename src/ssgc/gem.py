@@ -31,6 +31,7 @@ from .model import (
     JointPartition,
     SpectralCurve,
     _check_grid,
+    _is_int,
     _logdet_pd,
     _periodic_mean,
     _reachable_basis,
@@ -252,8 +253,8 @@ def chi2_test(
     """
     if fhat < 0 or not math.isfinite(fhat):
         raise ValueError("fhat must be finite and nonnegative")
-    if n_obs < 1 or state_dim < 1 or px < 1 or py < 1:
-        raise ValueError("n_obs, state_dim, px and py must be positive")
+    if not all(_is_int(v) and v >= 1 for v in (n_obs, state_dim, px, py)):
+        raise ValueError("n_obs, state_dim, px and py must be positive integers")
     if kind == "weak":
         df = 2 * state_dim * px * py
     elif kind == "instantaneous":

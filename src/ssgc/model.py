@@ -30,8 +30,10 @@ LYAPUNOV_MAX_DOUBLINGS = 200
 DEFAULT_GRID_SIZE = 4096
 # Largest complex (chunk, n, n) resolvent stack the dense transfer rule allocates.
 DENSE_CHUNK_BYTES = 64 * 2**20
-# Most squarings A^(2^j) the uniform transfer rule takes to certify rho(A) < 1.
+# Most squarings A^(2^j) taken to certify rho(A) < 1 - STABILITY_MARGIN.
 UNIFORM_MAX_SQUARINGS = 64
+# A squaring whose 1-norm passes this ends the certificate before it can overflow.
+_SQUARING_NORM_CAP = 1e100
 
 __all__ = [
     "JointPartition",
@@ -77,8 +79,47 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max()) if a.size else 0.0
 
 
+def _certified_stable(power: np.ndarray, j: int) -> bool:
+    """True if a squaring proves rho(A) < 1 - STABILITY_MARGIN, given power = A^(2^j).
+
+    By Gelfand's bound rho(A)^m <= ||A^m||, a squaring A^(2^i), j <= i <=
+    UNIFORM_MAX_SQUARINGS, of 1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.
+    False when none is found: at the cap, once that bound underflows to 0, or once
+    the norm passes _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows.
+    """
+    for i in range(j, UNIFORM_MAX_SQUARINGS + 1):
+        bound = (1.0 - STABILITY_MARGIN) ** (2**i)
+        norm = np.abs(power).sum(axis=0).max(initial=0.0)
+        if norm < bound:
+            return True
+        if not (bound > 0.0 and norm <= _SQUARING_NORM_CAP):
+            return False
+        power = power @ power
+    return False
+
+
+def _radius_if_unstable(a: np.ndarray) -> float | None:
+    """The one stability rule: None when rho(a) < 1 - STABILITY_MARGIN, else rho(a).
+
+    A squaring certificate decides most stable matrices without an eigenvalue;
+    otherwise the verdict is ``spectral_radius(a) < 1 - STABILITY_MARGIN``, and
+    the radius computed for it is returned for the caller's message.
+    """
+    if _certified_stable(a, 0):
+        return None
+    rho = spectral_radius(a)
+    return rho if rho >= 1.0 - STABILITY_MARGIN else None
+
+
+def _is_stable(a: np.ndarray) -> bool:
+    """rho(a) < 1 - STABILITY_MARGIN, by the one stability rule."""
+    return _radius_if_unstable(a) is None
+
+
 def default_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Uniform frequency grid of n points on [-pi, pi), endpoint excluded."""
+    if not _is_int(n):
+        raise ValueError("grid size must be an integer")
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
@@ -132,8 +173,8 @@ def _check_grid(grid) -> np.ndarray:
 def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray):
     """C (e^{j lambda} I - A)^{-1} K on one period of a uniform grid, by one FFT.
 
-    None when grid is not such a period or none of the first
-    UNIFORM_MAX_SQUARINGS squarings A^(2^j) has 1-norm below 1; see
+    None when grid is not such a period or ``_certified_stable`` finds no
+    certificate from the last square A^(2^j), 2^j <= N; see
     ``ISSModel.frequency_response``.
     """
     n_pts, n = len(grid), a.shape[0]
@@ -155,15 +196,9 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
         for j, (sq, ex) in enumerate(zip(squares, excesses)):
             if n_pts >> j & 1:
                 excess = excess @ sq + ex
-        # A squaring of 1-norm below 1 certifies rho(A) < 1, so I - w A^N is
-        # invertible, and every later squaring stays below 1: square on past N
-        # until one is, up to the cap or the first non-finite squaring.
-        power = squares[-1]
-        for _ in range(UNIFORM_MAX_SQUARINGS + 1 - len(squares)):
-            if not np.isfinite(power).all() or np.abs(power).sum(axis=0).max(initial=0.0) < 1.0:
-                break
-            power = power @ power
-    if not (np.isfinite(excess).all() and np.abs(power).sum(axis=0).max(initial=0.0) < 1.0):
+        # rho(A) < 1 makes I - w A^N invertible; certify it from the last square.
+        stable = _certified_stable(squares[-1], len(squares) - 1)
+    if not (stable and np.isfinite(excess).all()):
         return None
     # Shift the grid by whole steps so |lambda_0| <= step / 2 and every phase stays small.
     shift = int(np.rint(grid[0] / step))
@@ -361,8 +396,10 @@ class ISSModel:
 
         w = e^{-j N lambda_0}, k = 0..N-1.  It is exact, not truncated; it holds
         O(N p n + n^2) memory and never an (N, n, n) stack.  Stability is
-        certified by a squaring A^(2^j) of 1-norm below 1, within
-        UNIFORM_MAX_SQUARINGS squarings.  Every other input (a non-uniform
+        certified by the squaring certificate of the one stability rule,
+        continued from the last square A^(2^j), 2^j <= N, that the rule
+        computes anyway: some A^(2^j), j <= UNIFORM_MAX_SQUARINGS, of 1-norm
+        below (1 - STABILITY_MARGIN)^(2^j).  Every other input (a non-uniform
         grid, or an A without that certificate) takes the pointwise resolvent
         solve C (e^{j lambda} I - A)^{-1} K, in chunks of at most
         DENSE_CHUNK_BYTES of complex (n, n) matrices (one point at a time once
@@ -523,7 +560,9 @@ def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
         ``passed`` flag, the largest-modulus eigenvalue of the unreachable block
         as ``witness`` (None when the test passes) and the staircase margin.
         Stabilizability and detectability pass at once, with margin inf, when a
-        has no eigenvalue of modulus >= 1 - 1e-12.
+        has no eigenvalue of modulus >= 1 - 1e-12; that premise is decided by
+        the one stability rule ``_is_stable`` (a squaring certificate, else the
+        eigenvalues), so a certified stable a costs no eigenvalue computation.
     """
     a, b = _as_matrix(a, "a"), _as_matrix(b, "b")
     if a.shape[0] != a.shape[1]:
@@ -534,7 +573,7 @@ def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "detectable":
         a = a.T
-    if mode != "controllable" and not (np.abs(np.linalg.eigvals(a)) >= 1.0 - STABILITY_MARGIN).any():
+    if mode != "controllable" and _is_stable(a):
         return PbhResult(True, None, np.inf)  # no unstable eigenvalue to inspect
     basis, margin = _reachable_basis(a, b, PBH_TOL)
     if basis.shape[1] == a.shape[0]:
@@ -576,9 +615,14 @@ def validate_iss(model: ISSModel, require_stationary: bool = True) -> Validation
 
 
 def require_stationary(model: ISSModel) -> None:
-    """Raise unless the state transition matrix is stable."""
-    rho = spectral_radius(model.A)
-    if rho >= 1.0 - STABILITY_MARGIN:
+    """Raise unless the state transition matrix is stable.
+
+    Stability is the one rule ``_radius_if_unstable``: rho(A) < 1 -
+    STABILITY_MARGIN, proved by a squaring certificate when one exists, so
+    the eigenvalues of A are computed only when there is none.
+    """
+    rho = _radius_if_unstable(model.A)
+    if rho is not None:
         raise PreconditionError(f"model is not stationary: spectral radius(A) = {rho:.6g}")
 
 
@@ -629,8 +673,8 @@ def var_to_iss(
     companion[:p, :] = np.hstack(coeffs)
     if r > 1:
         companion[p:, : n - p] = np.eye(n - p)
-    rho = spectral_radius(companion)
-    if rho >= 1.0 - STABILITY_MARGIN:
+    rho = _radius_if_unstable(companion)
+    if rho is not None:
         raise PreconditionError(f"VAR is unstable: companion spectral radius = {rho:.6g}")
 
     c = np.hstack(coeffs)
@@ -657,8 +701,10 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve P = A P A^T + W for stable A by the doubling iteration."""
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    rho = spectral_radius(a)
-    if rho >= 1.0 - STABILITY_MARGIN:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or w.shape != a.shape:
+        raise ValueError("a must be a square matrix and w of the same shape")
+    rho = _radius_if_unstable(a)
+    if rho is not None:
         raise PreconditionError(f"Lyapunov equation needs stable A, spectral radius = {rho:.6g}")
     p = 0.5 * (w + w.T)
     m = a.copy()

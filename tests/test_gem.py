@@ -195,6 +195,8 @@ def test_chi2_degrees_of_freedom():
     assert chi2_test(0.1, 100, 2, 1, 1, "instantaneous").df == 1
     assert chi2_test(0.1, 100, 2, 1, 1, "strong").df == 5
     assert chi2_test(0.1, 100, 3, 2, 2, "weak").df == 24
+    sizes = (np.int64(100), np.int32(3), np.int64(2), np.int8(2))
+    assert chi2_test(0.1, *sizes, "weak") == chi2_test(0.1, 100, 3, 2, 2, "weak")
 
 
 def test_chi2_statistic_scales_with_sample_size():
@@ -230,9 +232,12 @@ def test_chi2_rejects_bad_inputs():
     with pytest.raises(ValueError):
         chi2_test(np.inf, 100, 1, 1, 1)
     with pytest.raises(ValueError):
-        chi2_test(0.1, 0, 1, 1, 1)
-    with pytest.raises(ValueError):
         chi2_test(0.1, 100, 1, 1, 1, kind="both")
+    # n_obs, state_dim, px and py: positive Python or numpy integers, not bools
+    for sizes in ((0, 1, 1, 1), (100, 1.5, 1, 1), (100, 1, True, 1), (100.5, 1, 1, 1),
+                  (100, 1, 1, 1.0), (100, 1, 1, np.float64(2.0))):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            chi2_test(1.0, *sizes)
 
 
 def test_measures_need_partition_and_stationarity():

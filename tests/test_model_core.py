@@ -19,6 +19,7 @@ from ssgc import (
     autocovariance_of_iss,
     default_grid,
     gem_frequency,
+    gem_time_domain,
     pbh_test,
     solve_lyapunov,
     spectral_radius,
@@ -123,6 +124,12 @@ def test_default_grid_covers_half_open_interval():
     assert grid[0] == pytest.approx(-np.pi)
     assert np.allclose(np.diff(grid), 2 * np.pi / 8)
     assert grid[-1] < np.pi
+    assert np.array_equal(default_grid(np.int64(8)), grid)
+    for bad in (4.5, 8.0, True, np.float64(8.0)):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            default_grid(bad)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        default_grid(1)
 
 
 def test_pbh_controllable_and_not():
@@ -363,7 +370,7 @@ def test_validate_report_renders_one_line_per_check():
 
 def test_require_stationary_raises():
     mdl = ISSModel(np.array([[1.0]]), np.eye(1), np.eye(1), np.eye(1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"not stationary: spectral radius\(A\) = 1$"):
         require_stationary(mdl)
 
 
@@ -398,7 +405,7 @@ def test_var_to_iss_matches_direct_transfer_function():
 
 
 def test_var_to_iss_rejects_unstable_and_indefinite():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="companion spectral radius = 1.01$"):
         var_to_iss([np.array([[1.01]])], np.eye(1))
     with pytest.raises(PreconditionError):
         var_to_iss([np.array([[0.5]])], np.array([[0.0]]))
@@ -456,8 +463,11 @@ def test_solve_lyapunov_against_scipy():
 
 
 def test_solve_lyapunov_needs_stable_a():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="needs stable A, spectral radius = 1$"):
         solve_lyapunov(np.array([[1.0]]), np.eye(1))
+    for a, w in ((np.full((2, 3), 0.1), np.eye(2)), (np.eye(2) / 2, np.eye(3)), (np.array([0.5]), np.eye(1))):
+        with pytest.raises(ValueError, match="a must be a square matrix and w of the same shape"):
+            solve_lyapunov(a, w)
 
 
 def test_frequency_response_identity_at_zero_gain():
@@ -552,6 +562,69 @@ def test_uniform_transfer_near_a_unit_root(monkeypatch, case):
     mdl, grid, tol = case()
     want = transfer_function_pointwise(mdl, grid)
     assert _relative_error(mdl.frequency_response(grid), want) < tol
+
+
+def _companion_160(rho):
+    """A bivariate VAR(80) companion matrix (n = 160) rescaled to spectral radius rho."""
+    a = bivariate_var(np.random.default_rng(15), 80).A.copy()
+    a[:2, :] *= np.repeat((rho / spectral_radius(a)) ** np.arange(1, 81), 2)
+    return a
+
+
+def _jordan_at_the_margin():
+    """rho = 1 - 1.05e-12, just inside the margin: (1 - 1e-12)^(2^j) underflows
+    before ||A^(2^j)||_1 falls below it, so only the eigenvalues decide."""
+    r = 1.0 - 1.05e-12
+    return np.array([[r, 1.0], [0.0, r]])
+
+
+@pytest.mark.parametrize(
+    "make,certified",
+    [
+        pytest.param(lambda: _coupled_real_root(0.999)[0].A, True, id="coupled-0.999"),
+        pytest.param(lambda: _coupled_real_root(1.0 - 1e-7)[0].A, True, id="coupled-0.9999999"),
+        pytest.param(lambda: _nonnormal_rotation()[0].A, True, id="nonnormal-rotation"),
+        pytest.param(lambda: _hrf_near_one_sided()[0].A, True, id="hrf-near-one-sided"),
+        pytest.param(lambda: _jordan_block(0.99)[0].A, True, id="jordan-0.99"),
+        pytest.param(lambda: _jordan_block(0.9999)[0].A, True, id="jordan-0.9999"),
+        pytest.param(lambda: _companion_160(1.0 - 1e-9), True, id="companion-1-1e-9"),
+        pytest.param(lambda: np.zeros((0, 0)), True, id="empty"),
+        pytest.param(lambda: np.zeros((3, 3)), True, id="zero"),
+        pytest.param(_jordan_at_the_margin, False, id="jordan-at-the-margin"),
+        pytest.param(lambda: _coupled_real_root(1.0)[0].A, False, id="unit-root"),
+        pytest.param(lambda: np.array([[0.0, -1.0], [1.0, 0.0]]), False, id="unit-rotation"),
+        pytest.param(lambda: _companion_160(1.0 + 1e-9), False, id="companion-1+1e-9"),
+        pytest.param(lambda: _companion_160(1.05), False, id="companion-1.05"),
+    ],
+)
+def test_stability_rule_matches_the_spectral_radius(make, certified):
+    """The verdict is rho(A) < 1 - STABILITY_MARGIN, without over- or underflow;
+    the squaring certificate decides every planted stable matrix but the one
+    within 5e-14 of the margin."""
+    a = make()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert ssgc.model._is_stable(a) == (spectral_radius(a) < 1.0 - STABILITY_MARGIN)
+        assert ssgc.model._certified_stable(a, 0) == certified
+
+
+def test_checks_of_a_stable_model_skip_eigvals(monkeypatch):
+    """Stationarity and the vacuous PBH premises are certified by squarings;
+    validate_iss computes only the two spectral radii it reports."""
+    model = bivariate_var(np.random.default_rng(16), 10)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+
+    def count(op):
+        calls.clear()
+        op()
+        return len(calls)
+
+    assert count(lambda: gem_time_domain(model)) == 0
+    assert count(lambda: gem_frequency(model, default_grid(256), "y->x")) == 0
+    assert count(lambda: gem_frequency(model, default_grid(256), "x->y")) == 0
+    assert count(lambda: validate_iss(model)) == 2
+    assert validate_iss(model).passed
 
 
 def test_transfer_of_a_stateless_model_is_exactly_identity():
