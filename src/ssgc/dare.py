@@ -5,11 +5,12 @@ The fixed point solved is
     P = A P A^T + Q - K V K^T,   V = R + C P C^T,   K = (A P C^T + S) V^{-1}.
 
 One core, ``riccati_fixed_point``, serves every solve: ``solve_dare`` starts
-it at P_0 = 0, FIR filtering at the state covariance Pi.  X = P - Pi obeys
-the same recursion on (A - K(Pi) C, F(Pi) - Pi, V(Pi)) with no cross term,
-F being the Riccati map, and the structure-preserving doubling algorithm
-(Chu, Fan & Lin 2005) reaches its 2^k-th iterate in k steps.  Newton-Hewer
-steps (Hewer 1971), one Stein equation on A - K C each, refine the result.
+it at Pi = 0, FIR filtering at the Newton-Hewer iterate (Hewer 1971) of the
+state covariance's gain.  X = P - Pi obeys the same recursion on
+(A - K(Pi) C, F(Pi) - Pi, V(Pi)) with no cross term, F being the Riccati
+map, and the structure-preserving doubling algorithm (Chu, Fan & Lin 2005),
+the one doubling loop of ``model``, reaches its 2^k-th iterate in k steps.
+Newton-Hewer steps, one Stein equation on A - K C each, refine the result.
 At Pi = 0 the shifted model is (A_s, Q_s, R) with A_s = A - S R^{-1} C and
 Q_s = Q - S R^{-1} S^T, and the iterates are monotone nondecreasing under
 the standard admissibility conditions.  Both return a ``DareSolution``; a
@@ -22,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, PreconditionError
-from .model import SSModel, _is_int, pbh_test, solve_lyapunov
+from .errors import PreconditionError
+from .model import _MAX_DOUBLINGS, SSModel, _doubling, _is_int, pbh_test, solve_lyapunov
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_DOUBLINGS = 64
+DEFAULT_MAX_DOUBLINGS = _MAX_DOUBLINGS
 
 __all__ = ["DareSolution", "solve_dare", "riccati_fixed_point"]
 
@@ -46,13 +47,14 @@ class DareSolution(NamedTuple):
     V : (p, p) ndarray
         Innovation covariance R + C P C^T, positive definite.
     iterations : int
-        Steps performed: P_0 -> P_1 is the first, each doubling and each
-        Newton step one more.
+        Steps performed, one each: the Newton-Hewer step from K(p0) when a
+        start p0 is given, P_0 -> P_1, each doubling and each Newton step.
     residual : float
         Frobenius norm of P - (A P A^T + Q - K V K^T) at the returned P.
     history : tuple of ndarray, optional
-        Iterates P_0, P_1, P_2, P_4, ..., then the Newton iterates (one per
-        step) when requested, else empty.
+        When requested, p0 (if given) and its Newton-Hewer iterate, the
+        iterates P_0, P_1, P_2, P_4, ... from there, then the Newton iterates
+        (one per step); else empty.
     """
 
     P: np.ndarray
@@ -88,8 +90,12 @@ def _gain_pass(a, c, q, r, s, p, iterations: int):
     return k, v, a @ p @ a.T + q - m @ k.T
 
 
-def _converged(step: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    return np.linalg.norm(step) <= tol * max(1.0, np.linalg.norm(p))
+def _hewer(a, c, q, r, s, k) -> np.ndarray:
+    """Newton-Hewer step: the P of the gain K, solving
+    P = (A - K C) P (A - K C)^T + [I, -K] [[Q, S], [S^T, R]] [I, -K]^T;
+    PreconditionError unless A - K C is stable."""
+    ks = k @ s.T
+    return solve_lyapunov(a - k @ c, q - ks - ks.T + k @ r @ k.T)
 
 
 def riccati_fixed_point(
@@ -103,74 +109,62 @@ def riccati_fixed_point(
     p0: np.ndarray | None = None,
     keep_history: bool = False,
 ):
-    """Riccati fixed point reached from the start Pi = p0 (zero by default).
+    """Riccati fixed point reached from the start p0 (zero by default).
 
     Returns a ``DareSolution``, stabilizing at p0 = 0 under ``solve_dare``'s
-    premises.  Doubling stops when consecutive entries of Pi, Pi + X_1,
-    Pi + X_2, Pi + X_4, ... differ by at most tol * max(1, ||P||_F);
-    Newton-Hewer steps follow while the residual ||P - F(P)||_F is above that
-    bound and still falling.  ``iterations`` counts the steps as
-    ``DareSolution`` does, max_iter bounds them, and ``history`` (when
-    requested) holds Pi and the iterate after each step.  Raises ValueError
-    unless tol is finite and positive and max_iter a non-negative integer,
-    PreconditionError if V fails its Cholesky factorization at Pi or at an
-    iterate, or a Newton step meets an unstable A - K C, and ConvergenceError
-    when the doubling exhausts the budget, overflows or meets a singular step.
+    premises.  A start p0 is first replaced by one Newton-Hewer step from its
+    gain K(p0), which must be stabilizing; the state covariance's gain is,
+    that covariance being Newton's first iterate from K = 0 when A is stable
+    (Hewer 1971).  The doubling loop of ``model`` then runs on X = P - Pi
+    from the start Pi (zero, or the Newton iterate) and stops when
+    consecutive entries of Pi, Pi + X_1, Pi + X_2, Pi + X_4, ... differ by
+    at most tol * max(1, ||P||_F); Newton-Hewer steps follow while the
+    residual ||P - F(P)||_F is above that bound and still falling.
+    ``iterations`` counts the steps as ``DareSolution`` does, max_iter
+    bounds them, and ``history`` (when requested) holds p0 and the iterate
+    after each step.  Raises ValueError unless tol is finite and positive
+    and max_iter a non-negative integer, PreconditionError if V fails its
+    Cholesky factorization at a start or an iterate, or a Newton step (the
+    one from K(p0) included) meets an unstable A - K C, and ConvergenceError
+    when the doubling exhausts the budget, overflows or meets a singular
+    step ("doubling ..."), or a Newton step's Lyapunov solve fails on a
+    stable A - K C ("Lyapunov doubling ...").
     """
     _check_budget(tol, max_iter)
-    n = a.shape[0]
-    pi = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
-    # Doubling on X = P - Pi: W = I + G_k H_k, A_{k+1} = A_k W^{-1} A_k,
-    # G_{k+1} = G_k + A_k W^{-1} G_k A_k^T, H_{k+1} = H_k + A_k^T H_k W^{-1} A_k
-    # from A_0 = (A - K(Pi) C)^T, G_0 = C^T V(Pi)^{-1} C, H_0 = F(Pi) - Pi
-    # gives H_k = X_{2^k}.
-    k, v, f_pi = _gain_pass(a, c, q, r, s, pi, 0)
-    a_k = (a - k @ c).T
+    history: list[np.ndarray] | None = [] if keep_history else None
+    if p0 is None:
+        pi, done = np.zeros(a.shape), 0
+    else:
+        # One Newton-Hewer step from the gain K(p0), which must be stabilizing.
+        pi, done = 0.5 * (p0 + p0.T), 1
+        if history is not None:
+            history.append(pi.copy())
+        pi = _hewer(a, c, q, r, s, _gain_pass(a, c, q, r, s, pi, 0)[0])
+    k, v, f_pi = _gain_pass(a, c, q, r, s, pi, done)
+    if history is not None:
+        history.append(pi.copy())
+    # Doubling on X = P - Pi from A_0 = (A - K(Pi) C)^T, G_0 = C^T V(Pi)^{-1} C
+    # and H_0 = F(Pi) - Pi gives H_k = X_{2^k}.
     g = c.T @ np.linalg.solve(v, c)
     g = 0.5 * (g + g.T)
-    x_next = 0.5 * (f_pi + f_pi.T) - pi
-    x, eye = np.zeros((n, n)), np.eye(n)
-    history: list[np.ndarray] = [pi.copy()] if keep_history else []
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for iterations in range(1, max_iter + 1):
-                if iterations > 1:
-                    # X_{2^(k+1)} from H_k = X_{2^k}; one solve gives W^{-1} [A_k, G_k].
-                    w_inv = np.linalg.solve(eye + g @ x, np.concatenate((a_k, g), axis=1))
-                    w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
-                    x_next = x + a_k.T @ x @ w_inv_a
-                    x_next = 0.5 * (x_next + x_next.T)
-                    g = g + a_k @ w_inv_g @ a_k.T
-                    g = 0.5 * (g + g.T)
-                    a_k = a_k @ w_inv_a
-                step = x_next - x
-                x = x_next
-                p = pi + x
-                if keep_history:
-                    history.append(p.copy())
-                if _converged(step, p, tol):
-                    break
-            else:
-                raise ConvergenceError(f"Riccati doubling did not converge in {max_iter} steps")
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise ConvergenceError(f"Riccati doubling diverged at step {iterations}") from exc
+    p, _, iterations = _doubling(
+        (a - k @ c).T, g, 0.5 * (f_pi + f_pi.T) - pi, pi, tol, done, max_iter, history
+    )
 
     k, v, p_map = _gain_pass(a, c, q, r, s, p, iterations)
     residual = float(np.linalg.norm(p - p_map))
-    # Newton-Hewer: P = (A - K C) P (A - K C)^T + [I, -K] [[Q, S], [S^T, R]] [I, -K]^T
-    # at the gain K of the previous P.
+    # Newton-Hewer refinement at the gain K of the previous P.
     while residual > tol * max(1.0, float(np.linalg.norm(p))) and iterations < max_iter:
-        ks = k @ s.T
-        p_new = solve_lyapunov(a - k @ c, q - ks - ks.T + k @ r @ k.T)
+        p_new = _hewer(a, c, q, r, s, k)
         k_new, v_new, p_map = _gain_pass(a, c, q, r, s, p_new, iterations + 1)
         residual_new = float(np.linalg.norm(p_new - p_map))
         if not residual_new < residual:
             break
         p, k, v, residual = p_new, k_new, v_new, residual_new
         iterations += 1
-        if keep_history:
+        if history is not None:
             history.append(p.copy())
-    return DareSolution(p, k, v, iterations, residual, tuple(history))
+    return DareSolution(p, k, v, iterations, residual, tuple(history or ()))
 
 
 def _check_preconditions(model: SSModel) -> None:

@@ -5,14 +5,14 @@ Phi(L) = Phi_0 + Phi_1 L + ... + Phi_q L^q yields another regular process
 whose ISS model is obtained from an augmented state (the original state plus
 the last q outputs) followed by a spectral-factorization Riccati solve.  The
 solve is the one Riccati core of ``dare``, started from the augmented state
-covariance (the classic innovations algorithm, monotone from above): shifted
-doubling, then Newton-Hewer steps.  That start reaches the stabilizing
-solution even when Phi_0 is singular or the filter is non-minimum-phase,
-situations where the zero-started recursion either cannot start (singular
-innovation covariance at iterate zero) or is drawn to a non-stabilizing fixed
-point.  The all-pass split reuses the same solve: its minimum-phase factor
-is the filtered model of white noise (FIR filter) or of the identity-filtered
-model (ISS filter).
+covariance (the classic innovations algorithm, monotone from above): one
+Newton-Hewer step from its gain, shifted doubling, then Newton-Hewer
+refinement.  That start reaches the stabilizing solution even when Phi_0 is
+singular or the filter is non-minimum-phase, situations where the
+zero-started recursion either cannot start (singular innovation covariance
+at iterate zero) or is drawn to a non-stabilizing fixed point.  The all-pass
+split reuses the same solve: its minimum-phase factor is the filtered model
+of white noise (FIR filter) or of the identity-filtered model (ISS filter).
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def apply_fir_filter(
     ------
     ConvergenceError
         If the filtered process is rank deficient (det Phi with unit-circle
-        zeros, or a singular V), so that no full-rank innovations model exists.
+        zeros, or a singular V), so that no full-rank innovations model exists;
+        the message ends with the Riccati core's own.
     """
     require_stationary(joint)
     if filt.p != joint.p:
@@ -221,7 +222,7 @@ def apply_fir_filter(
     except (PreconditionError, ConvergenceError) as exc:
         raise ConvergenceError(
             "the filtered process is rank deficient (its filter determinant "
-            "may vanish on the unit circle)"
+            f"may vanish on the unit circle): {exc}"
         ) from exc
     rho = spectral_radius(a - sol.K @ c)
     # Doubling resolves 1 - rho only to about sqrt(eps).

@@ -26,7 +26,8 @@ STABILITY_MARGIN = 1e-12
 # Scale-aware threshold of the PBH tests (orthogonality, staircase deflation).
 PBH_TOL = 1e-9
 LYAPUNOV_TOL = 1e-13
-LYAPUNOV_MAX_DOUBLINGS = 200
+# Step budget of the one doubling loop: 64 steps cover 2^63 terms of the plain recursion.
+_MAX_DOUBLINGS = 64
 DEFAULT_GRID_SIZE = 4096
 # Largest complex (chunk, n, n) resolvent stack the dense transfer rule allocates.
 DENSE_CHUNK_BYTES = 64 * 2**20
@@ -98,14 +99,15 @@ def _certified_stable(power: np.ndarray, j: int) -> bool:
     return False
 
 
-def _radius_if_unstable(a: np.ndarray) -> float | None:
+def _radius_if_unstable(a: np.ndarray, power: np.ndarray | None = None, j: int = 0) -> float | None:
     """The one stability rule: None when rho(a) < 1 - STABILITY_MARGIN, else rho(a).
 
-    A squaring certificate decides most stable matrices without an eigenvalue;
-    otherwise the verdict is ``spectral_radius(a) < 1 - STABILITY_MARGIN``, and
-    the radius computed for it is returned for the caller's message.
+    A squaring certificate, from power = a^(2^j) when given, decides most
+    stable matrices without an eigenvalue; otherwise the verdict is
+    ``spectral_radius(a) < 1 - STABILITY_MARGIN``, and the radius computed
+    for it is returned for the caller's message.
     """
-    if _certified_stable(a, 0):
+    if _certified_stable(a if power is None else power, j):
         return None
     rho = spectral_radius(a)
     return rho if rho >= 1.0 - STABILITY_MARGIN else None
@@ -697,24 +699,78 @@ def spectrum_of_iss(model: ISSModel, grid: np.ndarray | None = None) -> Spectral
     return SpectralCurve(grid, f)
 
 
+def _converged(step: np.ndarray, p: np.ndarray, tol: float) -> bool:
+    return np.linalg.norm(step) <= tol * max(1.0, np.linalg.norm(p))
+
+
+def _doubling(a_k, g, x_next, shift, tol, done, max_steps, history=None):
+    """The one doubling loop (Chu, Fan & Lin 2005): (shift + X, A_k, steps).
+
+    W = I + G_k H_k, A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k^T
+    and H_{k+1} = H_k + A_k^T H_k W^{-1} A_k from (a_k, g, x_next).  g None is
+    G = 0: W = I, no solve, H_k is Smith's 2^k-term sum of X = A_0^T X A_0 + H_0
+    and A_k = A_0^(2^k).  Step done + 1 takes X = H_0, each later one a doubling,
+    until consecutive X differ by at most tol * max(1, ||shift + X||_F); history
+    gets shift + X per step.  ConvergenceError after step max_steps, or when a
+    step overflows or meets a singular W.
+    """
+    n = len(x_next)
+    x, eye = np.zeros((n, n)), np.eye(n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(done + 1, max_steps + 1):
+                if step > done + 1:
+                    if g is None:
+                        w_inv_a = a_k
+                    else:
+                        # One solve gives W^{-1} [A_k, G_k].
+                        w_inv = np.linalg.solve(eye + g @ x, np.concatenate((a_k, g), axis=1))
+                        w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
+                        g = g + a_k @ w_inv_g @ a_k.T
+                        g = 0.5 * (g + g.T)
+                    x_next = x + a_k.T @ x @ w_inv_a
+                    x_next = 0.5 * (x_next + x_next.T)
+                    a_k = a_k @ w_inv_a
+                diff = x_next - x
+                x = x_next
+                p = shift + x
+                if history is not None:
+                    history.append(p.copy())
+                if _converged(diff, p, tol):
+                    return p, a_k, step
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceError(f"doubling diverged at step {step}") from exc
+    raise ConvergenceError(f"doubling did not converge in {max_steps} steps")
+
+
 def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve P = A P A^T + W for stable A by the doubling iteration."""
+    """Solve P = A P A^T + W for stable A, rho(A) < 1 - STABILITY_MARGIN.
+
+    Smith's iteration, the G = 0 case of the one doubling loop, to the
+    relative tolerance LYAPUNOV_TOL.  Stability is then decided by the one
+    rule ``_radius_if_unstable``, its certificate continuing from the loop's
+    last square A^(2^j) (from A when the loop fails).  Raises
+    PreconditionError naming the spectral radius of an unstable A, even one
+    that W never reaches, and ConvergenceError ("Lyapunov doubling ...")
+    when the loop fails on a stable A.
+    """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or w.shape != a.shape:
         raise ValueError("a must be a square matrix and w of the same shape")
-    rho = _radius_if_unstable(a)
+    failure, power, j = None, None, 0
+    try:
+        p, power, steps = _doubling(a.T, None, 0.5 * (w + w.T), 0.0, LYAPUNOV_TOL, 0, _MAX_DOUBLINGS)
+        power, j = power.T, steps - 1
+    except ConvergenceError as exc:
+        failure = exc
+    rho = _radius_if_unstable(a, power, j)
     if rho is not None:
-        raise PreconditionError(f"Lyapunov equation needs stable A, spectral radius = {rho:.6g}")
-    p = 0.5 * (w + w.T)
-    m = a.copy()
-    for _ in range(LYAPUNOV_MAX_DOUBLINGS):
-        update = m @ p @ m.T
-        p = p + 0.5 * (update + update.T)
-        if np.linalg.norm(update, "fro") <= LYAPUNOV_TOL * max(1.0, np.linalg.norm(p, "fro")):
-            return p
-        m = m @ m
-    raise ConvergenceError("Lyapunov doubling iteration did not converge")
+        msg = f"Lyapunov equation needs stable A, spectral radius = {rho:.6g}"
+        raise PreconditionError(msg) from failure
+    if failure is not None:
+        raise ConvergenceError(f"Lyapunov {failure}") from failure
+    return p
 
 
 def autocovariance_of_iss(model: ISSModel, h_max: int) -> AutocovarianceSequence:

@@ -20,9 +20,9 @@ from ssgc import (
     spectral_radius,
     var_to_iss,
 )
-from ssgc.dare import DEFAULT_TOL, _check_budget, _converged, _gain_pass
+from ssgc.dare import DEFAULT_TOL, _check_budget, _gain_pass
 from ssgc.errors import ConvergenceError
-from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult
+from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult, _converged
 
 
 class ReferenceScenario(NamedTuple):

@@ -17,6 +17,7 @@ from ssgc import (
     spectrum_of_iss,
     validate_iss,
 )
+import ssgc.dare
 import ssgc.filtering
 
 from support import hrf_filtered_references, random_iss, riccati_loop
@@ -161,14 +162,14 @@ def test_unit_circle_zero_has_no_innovations_model():
     # (1 - L) annihilates the process at frequency zero; the factorization
     # recursion only creeps toward the boundary, so bound its budget
     joint = ISSModel(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"unit circle\): doubling did not converge"):
         apply_fir_filter(joint, FirFilter.scalar([1.0, -1.0]), max_iter=20000)
 
 
 @pytest.mark.parametrize("taps", [[1.0, -1.0], [1.0, 1.0]], ids=["zero+1", "zero-1"])
 def test_unit_circle_zero_fails_fast_at_the_default_budget(taps):
     joint = ISSModel(np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 1)), np.eye(1))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="unit circle.*did not converge in 64 steps"):
         apply_fir_filter(joint, FirFilter.scalar(taps))
 
 
@@ -191,9 +192,8 @@ def test_zero_near_the_unit_circle_is_factored_exactly(taps, v_exact):
     assert rho == pytest.approx(NEAR_UNIT, abs=1e-9)
 
 
-def test_filtering_solve_matches_the_step_loop(monkeypatch):
-    """K and V of every filtering solve (the three HRF references and a
-    minimum-phase block filter) match the plain recursion from the same start."""
+def record_filter_solves(monkeypatch) -> list:
+    """(args, kwargs, result) of each Riccati solve of the filter from now on."""
     solve = ssgc.filtering.riccati_fixed_point
     calls = []
 
@@ -203,6 +203,13 @@ def test_filtering_solve_matches_the_step_loop(monkeypatch):
         return result
 
     monkeypatch.setattr(ssgc.filtering, "riccati_fixed_point", record)
+    return calls
+
+
+def test_filtering_solve_matches_the_step_loop(monkeypatch):
+    """K and V of every filtering solve (the three HRF references and a
+    minimum-phase block filter) match the plain recursion from the same start."""
+    calls = record_filter_solves(monkeypatch)
     hrf_filtered_references()
     rng = np.random.default_rng(56)
     joint = random_iss(rng)
@@ -210,6 +217,26 @@ def test_filtering_solve_matches_the_step_loop(monkeypatch):
     assert len(calls) == 4
     for args, kwargs, (_, k, v, *_) in calls:
         _, k_loop, v_loop, *_ = riccati_loop(*args, **{**kwargs, "max_iter": 10**6})
+        assert np.linalg.norm(k - k_loop) <= 1e-10 * np.linalg.norm(k_loop)
+        assert np.linalg.norm(v - v_loop) <= 1e-10 * np.linalg.norm(v_loop)
+
+
+def test_filtering_solve_holds_under_rounding_of_its_start(monkeypatch):
+    """The near-one-sided HRF solve (n = 66, R = 0) from its state covariance
+    Pi moved at rounding level.  Doubling straight from Pi breaks its premise
+    G, H >= 0 and failed about one such start in five; the Newton-Hewer step
+    from K(Pi) makes every start reach the recursion's K and V."""
+    calls = record_filter_solves(monkeypatch)
+    hrf_filtered_references()
+    args, kwargs, _ = calls[2]
+    pi = kwargs["p0"]
+    _, k_loop, v_loop, *_ = riccati_loop(*args, **{**kwargs, "max_iter": 10**6})
+    rng = np.random.default_rng(57)
+    for _ in range(50):
+        delta = rng.standard_normal(pi.shape)
+        delta += delta.T
+        delta *= 1e-16 * np.linalg.norm(pi) / np.linalg.norm(delta)
+        _, k, v, *_ = ssgc.dare.riccati_fixed_point(*args, **{**kwargs, "p0": pi + delta})
         assert np.linalg.norm(k - k_loop) <= 1e-10 * np.linalg.norm(k_loop)
         assert np.linalg.norm(v - v_loop) <= 1e-10 * np.linalg.norm(v_loop)
 

@@ -11,6 +11,7 @@ import scipy.linalg
 import ssgc.model
 from ssgc import (
     AutocovarianceSequence,
+    ConvergenceError,
     ISSModel,
     JointPartition,
     PreconditionError,
@@ -21,6 +22,7 @@ from ssgc import (
     gem_frequency,
     gem_time_domain,
     pbh_test,
+    riccati_fixed_point,
     solve_lyapunov,
     spectral_radius,
     spectrum_of_iss,
@@ -462,9 +464,57 @@ def test_solve_lyapunov_against_scipy():
         assert np.abs(mine - ref).max() < 1e-9 * max(1.0, np.abs(ref).max())
 
 
+@pytest.mark.parametrize("n", [40, 160])
+def test_solve_lyapunov_is_the_riccati_core_with_no_outputs(n):
+    """Smith's iteration is the G = 0 case of the one doubling loop: with no
+    outputs the Riccati core solves the same Stein equation."""
+    rng = np.random.default_rng(n)
+    a = stable_matrix(rng, n)
+    g = rng.standard_normal((n, n))
+    w = g @ g.T
+    p = solve_lyapunov(a, w)
+    sol = riccati_fixed_point(a, np.zeros((0, n)), w, np.zeros((0, 0)), np.zeros((n, 0)))
+    assert np.linalg.norm(p - sol.P) <= 1e-13 * np.linalg.norm(p)
+
+
+def test_solve_lyapunov_converges_within_its_budget_near_the_margin():
+    """A rotation scaled to rho = 1 - 1e-11 and a non-normal Jordan block at
+    1 - 1e-9 sum 2^42 and 2^36 Smith terms in 43 and 37 steps; both fit the
+    64-step budget and meet their closed forms to the problem's conditioning
+    (a rounding of A moves P by about eps / (1 - rho))."""
+    rho, angle = 1.0 - 1e-11, 0.3
+    rot = rho * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    exact = np.eye(2) / ((1.0 - rho) * (1.0 + rho))
+    assert np.linalg.norm(solve_lyapunov(rot, np.eye(2)) - exact) <= 1e-4 * np.linalg.norm(exact)
+
+    # J = lam I + N driven at its second state: P = sum_k A^k e2 e2^T A^kT, in
+    # closed form through the sums of k^i r^k, r = lam^2.
+    d = 1e-9
+    lam, one_minus_r = 1.0 - d, d * (2.0 - d)
+    jordan = np.array([[lam, 1.0], [0.0, lam]])
+    exact = np.array([
+        [(1.0 + lam**2) / one_minus_r**3, lam / one_minus_r**2],
+        [lam / one_minus_r**2, 1.0 / one_minus_r],
+    ])
+    p = solve_lyapunov(jordan, np.diag([0.0, 1.0]))
+    assert np.linalg.norm(p - exact) <= 1e-6 * np.linalg.norm(exact)
+
+
+def test_solve_lyapunov_names_its_own_failure():
+    """A stable A whose squares overflow: the loop's failure keeps a Lyapunov
+    prefix, so a Newton-Hewer step's solve is told apart from the Riccati
+    doubling's own."""
+    a = np.array([[0.5, 1e200], [0.0, 0.5]])
+    with pytest.raises(ConvergenceError, match="^Lyapunov doubling diverged at step 2$"):
+        solve_lyapunov(a, np.eye(2))
+
+
 def test_solve_lyapunov_needs_stable_a():
     with pytest.raises(PreconditionError, match="needs stable A, spectral radius = 1$"):
         solve_lyapunov(np.array([[1.0]]), np.eye(1))
+    # W never reaches the unstable mode, so Smith's sum converges; A is still unstable.
+    with pytest.raises(PreconditionError, match="needs stable A, spectral radius = 2$"):
+        solve_lyapunov(np.diag([0.5, 2.0]), np.diag([1.0, 0.0]))
     for a, w in ((np.full((2, 3), 0.1), np.eye(2)), (np.eye(2) / 2, np.eye(3)), (np.array([0.5]), np.eye(1))):
         with pytest.raises(ValueError, match="a must be a square matrix and w of the same shape"):
             solve_lyapunov(a, w)
