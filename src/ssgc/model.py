@@ -158,18 +158,35 @@ def _grid_tol(grid: np.ndarray) -> float:
 
 
 def _check_grid(grid) -> np.ndarray:
-    """grid as a float array; ValueError unless it is 1-D, finite, strictly
-    increasing and within one period (grid[-1] - grid[0] <= 2 pi)."""
+    """grid as a float array; ValueError unless it is 1-D, not empty, finite,
+    strictly increasing and within one period (grid[-1] - grid[0] <= 2 pi)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("grid must be a 1-D array")
+    if len(grid) == 0:
+        raise ValueError("grid must not be empty")
     if not np.isfinite(grid).all():
         raise ValueError("grid contains non-finite entries")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    if len(grid) and grid[-1] - grid[0] > 2.0 * np.pi + _grid_tol(grid):
+    if grid[-1] - grid[0] > 2.0 * np.pi + _grid_tol(grid):
         raise ValueError("grid must lie within one period: grid[-1] - grid[0] <= 2 pi")
     return grid
+
+
+def _power_rows(first: np.ndarray, squares, count: int) -> np.ndarray:
+    """[first; first B; ...; first B^(count-1)], stacked first.shape[0] rows at a
+    time, by block doubling R <- [R; R B^b] over squares = [B, B^2, B^4, ...]."""
+    p = first.shape[0]
+    rows = np.empty((count * p, first.shape[1]))
+    rows[:p] = first
+    for j, sq in enumerate(squares):
+        b = 1 << j
+        if b >= count:
+            break
+        top = min(b, count - b) * p
+        rows[b * p : b * p + top] = rows[:top] @ sq
+    return rows
 
 
 def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray):
@@ -177,7 +194,12 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
 
     None when grid is not such a period or ``_certified_stable`` finds no
     certificate from the last square A^(2^j), 2^j <= N; see
-    ``ISSModel.frequency_response``.
+    ``ISSModel.frequency_response``.  The Markov parameters C A^k G, k < N, are
+    s = 2^floor(bit_length(N - 1) / 2) baby rows C A^i (block doubling over
+    the squares below s) times ceil(N / s) giant columns A^(j s) G (doubling on
+    the right over the squares from s on, Re G and Im G as 2p real columns, so
+    A stays real): O(sqrt(N) p n^2 + N p^2 n + n^3 log N) time and
+    O(sqrt(N) p n + N p^2 + n^2 log N) memory.
     """
     n_pts, n = len(grid), a.shape[0]
     if n_pts == 0:
@@ -207,17 +229,15 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
     lam0 = grid[0] - shift * step
     omega = np.exp(-1j * n_pts * lam0)
     gain = np.linalg.solve((1.0 - omega) * eye - omega * excess, k)  # (I - w A^N)^{-1} K
-    # Rows C A^k, k < N, stacked p at a time, by block doubling R <- [R; R A^b].
-    p = c.shape[0]
-    rows = np.empty((n_pts * p, n))
-    rows[:p] = c
-    for j, sq in enumerate(squares):
-        b = 1 << j
-        if b >= n_pts:
-            break
-        top = min(b, n_pts - b) * p
-        rows[b * p : b * p + top] = rows[:top] @ sq
-    markov = (rows @ gain.real + 1j * (rows @ gain.imag)).reshape(n_pts, p, k.shape[1])
+    # C A^(js+i) G: baby rows C A^i times giant columns A^(js) [Re G, Im G] (Paterson & Stockmeyer).
+    level = (n_pts - 1).bit_length() // 2
+    s, p, q = 1 << level, c.shape[0], k.shape[1]
+    baby = _power_rows(c, squares[:level], s)
+    gain_t = np.concatenate((gain.real, gain.imag), axis=1).T
+    giant = _power_rows(gain_t, [sq.T for sq in squares[level:]], -(-n_pts // s))
+    products = (baby @ giant.T).reshape(s, p, -1, 2 * q).transpose(2, 0, 1, 3)
+    products = products.reshape(-1, p, 2 * q)[:n_pts]
+    markov = products[..., :q] + 1j * products[..., q:]
     markov *= np.exp(-1j * lam0 * np.arange(n_pts))[:, None, None]
     h = np.roll(np.fft.fft(markov, axis=0), -shift, axis=0)
     return np.exp(-1j * grid)[:, None, None] * h
@@ -396,8 +416,12 @@ class ISSModel:
 
             H_m = I + e^{-j lambda_m} FFT_k[C A^k (I - w A^N)^{-1} K e^{-j k lambda_0}],
 
-        w = e^{-j N lambda_0}, k = 0..N-1.  It is exact, not truncated; it holds
-        O(N p n + n^2) memory and never an (N, n, n) stack.  Stability is
+        w = e^{-j N lambda_0}, k = 0..N-1.  It is exact, not truncated.  The
+        Markov parameters C A^k G, G = (I - w A^N)^{-1} K, are split k = j s + i
+        with s ~ sqrt(N) (baby steps C A^i, giant steps A^(j s) G, one product),
+        in O(sqrt(N) p n^2 + N p^2 n + n^3 log N) time and
+        O(sqrt(N) p n + N p^2 + n^2 log N) memory, never an (N p, n) stack of
+        rows C A^k nor an (N, n, n) stack.  Stability is
         certified by the squaring certificate of the one stability rule,
         continued from the last square A^(2^j), 2^j <= N, that the rule
         computes anyway: some A^(2^j), j <= UNIFORM_MAX_SQUARINGS, of 1-norm
@@ -779,8 +803,8 @@ def autocovariance_of_iss(model: ISSModel, h_max: int) -> AutocovarianceSequence
     Uses the state covariance Pi from the Lyapunov equation:
     Gamma(0) = C Pi C^T + V and Gamma(h) = C A^{h-1} (A Pi C^T + K V), h >= 1.
     """
-    if h_max < 0:
-        raise ValueError("h_max must be nonnegative")
+    if not _is_int(h_max) or h_max < 0:
+        raise ValueError("h_max must be a nonnegative integer")
     require_stationary(model)
     kv = model.K @ model.V
     pi = solve_lyapunov(model.A, kv @ model.K.T)

@@ -22,6 +22,7 @@ from support import (
     bivariate_var,
     instantaneous_gem_canonical,
     random_iss,
+    transfer_function_pointwise,
     triangular_unidirectional,
     white_x_unidirectional,
 )
@@ -106,8 +107,9 @@ def test_frequency_integral_recovers_time_domain():
 
 
 def test_grid_wider_than_one_period_is_an_error(monkeypatch):
-    """A grid wider than one period, or holding a NaN, is rejected by both
-    entry points before the transfer function is evaluated."""
+    """A grid wider than one period, empty, or holding a NaN, is rejected by
+    both entry points before the transfer function is evaluated; a one-point
+    grid is valid."""
     rng = np.random.default_rng(48)
     joint = random_iss(rng, px=1, py=1)
     nan_grid = default_grid(512)
@@ -116,6 +118,8 @@ def test_grid_wider_than_one_period_is_an_error(monkeypatch):
         (np.linspace(-np.pi, 3 * np.pi, 512, endpoint=False), "one period"),
         (np.array([0.0, 10.0]), "one period"),
         (nan_grid, "non-finite"),
+        (np.array([]), "grid must not be empty"),
+        ([], "grid must not be empty"),
     ]
     with monkeypatch.context() as patch:
 
@@ -131,6 +135,13 @@ def test_grid_wider_than_one_period_is_an_error(monkeypatch):
     # f(-pi) = f(pi) it equals the open rule on its first 512 points.
     closed = gem_frequency(joint, np.linspace(-np.pi, np.pi, 513))
     assert closed.integral == pytest.approx(gem_frequency(joint, default_grid(512)).integral, abs=1e-12)
+    # One point: the curve's value there is its mean, and f = H V H*.
+    one = gem_frequency(joint, np.array([0.3]))
+    assert one.integral == pytest.approx(one.curve.values[0], abs=1e-15)
+    on_512 = gem_frequency(joint, default_grid(512) + 0.3).curve.values
+    assert one.integral == pytest.approx(on_512[256], abs=1e-12)
+    h = transfer_function_pointwise(joint, [0.3])[0]
+    assert np.allclose(spectrum_of_iss(joint, [0.3]).values[0], h @ joint.V @ h.conj().T, rtol=1e-12, atol=1e-12)
 
 
 def test_frequency_direction_validated():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,11 +439,14 @@ def test_autocovariance_matches_spectrum_quadrature():
 
 def test_autocovariance_negative_lag_transposes():
     rng = np.random.default_rng(7)
-    acov = autocovariance_of_iss(random_iss(rng, n=3, px=1, py=2), 4)
+    model = random_iss(rng, n=3, px=1, py=2)
+    acov = autocovariance_of_iss(model, 4)
     assert acov.h_max == 4
     assert np.array_equal(acov[-3], acov[3].T)
-    with pytest.raises(ValueError):
-        autocovariance_of_iss(random_iss(rng), -1)
+    assert np.array_equal(autocovariance_of_iss(model, np.int64(4)).gammas, acov.gammas)
+    for bad in (-1, 2.5, True, 4.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="h_max must be a nonnegative integer"):
+            autocovariance_of_iss(model, bad)
 
 
 def test_autocovariance_zero_lag_is_symmetric_psd():
@@ -561,6 +565,33 @@ def test_uniform_transfer_on_hrf_filtered_references(monkeypatch):
         assert mdl.n == 66
         want = transfer_function_pointwise(mdl, grid)
         assert _relative_error(mdl.frequency_response(grid), want) < 1e-12
+
+
+@pytest.mark.parametrize("n_pts", [1, 2, 3, 5, 63, 65, 4097])
+def test_uniform_transfer_on_uneven_and_tiny_grids(monkeypatch, n_pts):
+    """Grids where s * ceil(N / s) != N, or N is tiny, from a shifted start: the
+    baby-step/giant-step product of Markov parameters is cut to N."""
+    _refuse_dense_rule(monkeypatch)
+    rng = np.random.default_rng(17)
+    grid = -np.pi + 0.37 + 2.0 * np.pi * np.arange(n_pts) / n_pts
+    for mdl in [random_iss(rng) for _ in range(3)] + hrf_filtered_references()[:1]:
+        want = transfer_function_pointwise(mdl, grid)
+        assert _relative_error(mdl.frequency_response(grid), want) < 1e-12
+
+
+def test_uniform_transfer_memory_stays_below_the_row_stack(monkeypatch):
+    """At n = 160 on 4096 points the traced peak stays below the (N p, n) stack
+    of every row C A^k, k < N, that the rule no longer builds."""
+    _refuse_dense_rule(monkeypatch)
+    mdl = bivariate_var(np.random.default_rng(15), 80)
+    grid = default_grid(4096)
+    tracemalloc.start()
+    try:
+        mdl.frequency_response(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(grid) * mdl.p * mdl.n * 8
 
 
 def _coupled_real_root(rho):
