@@ -87,6 +87,8 @@ def _certified_stable(power: np.ndarray, j: int) -> bool:
     UNIFORM_MAX_SQUARINGS, of 1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.
     False when none is found: at the cap, once that bound underflows to 0, or once
     the norm passes _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows.
+    Also False once |tr A^(2^i)| >= n (1 - STABILITY_MARGIN)^(2^i), which proves
+    rho(A) >= 1 - STABILITY_MARGIN (|tr A^m| <= n rho^m), so no certificate exists.
     """
     for i in range(j, UNIFORM_MAX_SQUARINGS + 1):
         bound = (1.0 - STABILITY_MARGIN) ** (2**i)
@@ -94,6 +96,8 @@ def _certified_stable(power: np.ndarray, j: int) -> bool:
         if norm < bound:
             return True
         if not (bound > 0.0 and norm <= _SQUARING_NORM_CAP):
+            return False
+        if abs(power.trace()) >= len(power) * bound:
             return False
         power = power @ power
     return False
@@ -202,24 +206,22 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
     O(sqrt(N) p n + N p^2 + n^2 log N) memory.
     """
     n_pts, n = len(grid), a.shape[0]
-    if n_pts == 0:
-        return None
     step = 2.0 * np.pi / n_pts
     if not np.abs(grid - (grid[0] + step * np.arange(n_pts))).max() <= _grid_tol(grid):
-        return None  # not uniform, or not finite
+        return None  # not uniform
     # Squares A^(2^j) for 2^j <= N, with their excesses A^(2^j) - I kept apart,
-    # E_2b = E_b (A^b + I), so that a root near +-1 keeps its small 1 - mu^N.
+    # E_2b = E_b (A^b + I), so that a root near +-1 keeps its small 1 - mu^N;
+    # A^N - I folds over the set bits of N as they come, by
+    # A^(a+b) - I = (A^a - I) A^b + (A^b - I).
     eye = np.eye(n)
-    squares, excesses = [a], [a - eye]
+    squares, ex, excess = [a], a - eye, np.zeros((n, n))
     with np.errstate(all="ignore"):  # an unstable A may overflow; it is rejected below
-        while 2 ** len(squares) <= n_pts:
-            excesses.append(excesses[-1] @ (squares[-1] + eye))
-            squares.append(squares[-1] @ squares[-1])
-        # A^N - I over the set bits of N: A^(a+b) - I = (A^a - I) A^b + (A^b - I).
-        excess = np.zeros((n, n))
-        for j, (sq, ex) in enumerate(zip(squares, excesses)):
+        for j in range(n_pts.bit_length()):
+            if j:
+                ex = ex @ (squares[-1] + eye)
+                squares.append(squares[-1] @ squares[-1])
             if n_pts >> j & 1:
-                excess = excess @ sq + ex
+                excess = excess @ squares[-1] + ex
         # rho(A) < 1 makes I - w A^N invertible; certify it from the last square.
         stable = _certified_stable(squares[-1], len(squares) - 1)
     if not (stable and np.isfinite(excess).all()):
@@ -429,9 +431,11 @@ class ISSModel:
         grid, or an A without that certificate) takes the pointwise resolvent
         solve C (e^{j lambda} I - A)^{-1} K, in chunks of at most
         DENSE_CHUNK_BYTES of complex (n, n) matrices (one point at a time once
-        a single matrix is larger).
+        a single matrix is larger).  The grid must pass the checks every
+        spectral curve's grid passes (1-D, not empty, finite, strictly
+        increasing, within one period), else ValueError.
         """
-        grid = np.asarray(grid, dtype=float)
+        grid = _check_grid(grid)
         h = _transfer_uniform(self.A, self.C, self.K, grid)
         if h is None:
             h = _transfer_dense(self.A, self.C, self.K, grid)

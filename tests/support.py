@@ -71,19 +71,22 @@ NEAR_ONE_SIDED_DESIGN = Var1Design(
 )
 
 
+def reference_models() -> list[ISSModel]:
+    """PUSH_DOMINANT, PUSH_REVERSAL and the NEAR_ONE_SIDED VAR(1), unfiltered (n = 2)."""
+    sigma = np.array([[1.0, NEAR_ONE_SIDED_RHO], [NEAR_ONE_SIDED_RHO, 1.0]])
+    near_one_sided = var_to_iss([np.array(NEAR_ONE_SIDED_A)], sigma, JointPartition(1, 1))
+    return [PUSH_DOMINANT.model(), PUSH_REVERSAL.model(), near_one_sided]
+
+
 def hrf_filtered_references() -> list[ISSModel]:
     """The three reference designs seen through the hemodynamic response on both blocks.
 
     The response is sampled from t = 0: a one-step delay in front of the
     ``hrf_glover`` taps, so each model (n = 66) carries a defective shift register.
     """
-    part = JointPartition(1, 1)
     taps = np.r_[0.0, hrf_glover().scalar_taps]
-    hrf = FirFilter.block_scalar(taps, taps, part)
-    sigma = np.array([[1.0, NEAR_ONE_SIDED_RHO], [NEAR_ONE_SIDED_RHO, 1.0]])
-    near_one_sided = var_to_iss([np.array(NEAR_ONE_SIDED_A)], sigma, part)
-    references = (PUSH_DOMINANT.model(), PUSH_REVERSAL.model(), near_one_sided)
-    return [apply_fir_filter(model, hrf) for model in references]
+    hrf = FirFilter.block_scalar(taps, taps, JointPartition(1, 1))
+    return [apply_fir_filter(model, hrf) for model in reference_models()]
 
 
 def feasible_designs(rng: np.random.Generator, count: int):

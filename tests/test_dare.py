@@ -256,18 +256,23 @@ def test_doubling_iterates_are_the_loops_powers_of_two():
 
 def test_recorded_stall_takes_a_few_doublings():
     """The x-submodel of HRF-filtered NEAR_ONE_SIDED took 4839 fixed-point
-    steps, stalling near its tolerance; doubling reaches the same K and V."""
+    steps, stalling near its tolerance; doubling reaches the same K and V, on
+    the full state and on the states x reads (the VAR state and x's register)."""
     joint = hrf_filtered_references()[2]
     sub = extract_submodel(joint, "x")
+    kept = np.r_[0:2, 2:66:2]
+    assert np.array_equal(sub.A, joint.A[np.ix_(kept, kept)])
     kv = joint.K @ joint.V
     q = kv @ joint.K.T
     marginal = SSModel(joint.A, joint.C[:1], 0.5 * (q + q.T), joint.V[:1, :1], kv[:, :1])
-    assert solve_dare(marginal).iterations <= 10
+    full = solve_dare(marginal)
+    assert full.iterations <= 10
     _, k, v, *_ = riccati_loop(
         marginal.A, marginal.C, marginal.Q, marginal.R, marginal.S
     )
-    assert np.linalg.norm(sub.K - k) <= 1e-10 * np.linalg.norm(k)
-    assert np.linalg.norm(sub.V - v) <= 1e-10 * np.linalg.norm(v)
+    for got_k, got_v, want_k in ((full.K, full.V, k), (sub.K, sub.V, k[kept])):
+        assert np.linalg.norm(got_k - want_k) <= 1e-10 * np.linalg.norm(want_k)
+        assert np.linalg.norm(got_v - v) <= 1e-10 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("a", [0.9999, 1.0 - 1e-7])

@@ -530,6 +530,22 @@ def test_frequency_response_identity_at_zero_gain():
     assert np.allclose(h, np.ones((16, 1, 1)))
 
 
+def test_frequency_response_checks_its_grid():
+    mdl = random_iss(np.random.default_rng(10))
+    bad = {
+        "non-finite": [0.0, np.nan, 1.0],
+        "must not be empty": [],
+        "1-D": [[0.0, 1.0]],
+        "strictly increasing": [0.0, 1.0, 1.0],
+        "one period": [-np.pi, np.pi + 0.1],
+    }
+    for message, grid in bad.items():
+        with pytest.raises(ValueError, match=message):
+            mdl.frequency_response(grid)
+    want = transfer_function_pointwise(mdl, np.array([0.3]))
+    assert _relative_error(mdl.frequency_response([0.3]), want) < 1e-12
+
+
 def _relative_error(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
@@ -686,6 +702,45 @@ def test_stability_rule_matches_the_spectral_radius(make, certified):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert ssgc.model._is_stable(a) == (spectral_radius(a) < 1.0 - STABILITY_MARGIN)
         assert ssgc.model._certified_stable(a, 0) == certified
+
+
+class _CountedSquares(np.ndarray):
+    """An array that counts the products taken of it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedSquares.products += 1
+        return super().__matmul__(other)
+
+
+def _complex_pair(radius, angle):
+    """Eigenvalues radius e^(+-j angle), in a non-normal basis."""
+    c, s = np.cos(angle), np.sin(angle)
+    basis = np.array([[1.0, 3.0], [0.0, 1.0]])
+    return basis @ (radius * np.array([[c, -s], [s, c]])) @ np.linalg.inv(basis)
+
+
+@pytest.mark.parametrize(
+    "a, most",
+    [
+        pytest.param(np.diag([1.2, 0.5]), 2, id="real"),
+        pytest.param(np.diag([-1.5, 0.3]), 1, id="real-negative"),
+        pytest.param(_complex_pair(1.02, 0.7), 2, id="complex-pair"),
+        pytest.param(_complex_pair(1.005, 1.0), 4, id="complex-pair-1.005"),
+        pytest.param(np.array([[1.01, 1.0, 0.0], [0.0, 1.01, 1.0], [0.0, 0.0, 1.01]]), 0, id="jordan"),
+        pytest.param(_jordan_block(1.0 + 1e-9)[0].A, 0, id="jordan-unit"),
+    ],
+)
+def test_failing_certificate_stops_at_the_trace_bound(a, most):
+    """|tr A^(2^i)| >= n (1 - STABILITY_MARGIN)^(2^i) proves that no certificate
+    exists, so an unstable A is left to its eigenvalues after a few squarings
+    instead of squaring until the norm passes 1e100."""
+    _CountedSquares.products = 0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert not ssgc.model._certified_stable(a.view(_CountedSquares), 0)
+        assert ssgc.model._radius_if_unstable(a) == spectral_radius(a)
+    assert _CountedSquares.products <= most
 
 
 def test_checks_of_a_stable_model_skip_eigvals(monkeypatch):

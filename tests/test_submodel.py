@@ -4,20 +4,43 @@ import numpy as np
 import pytest
 
 from ssgc import (
+    FirFilter,
     ISSModel,
     JointPartition,
     PreconditionError,
     SpectralCurve,
+    SSModel,
+    apply_fir_filter,
     default_grid,
+    downsample_iss,
     extract_submodel,
     gem_time_domain,
     log_det_spectrum_integral,
+    solve_dare,
     spectrum_of_iss,
     submodel_spectrum,
     validate_iss,
 )
 
-from support import random_iss
+from support import (
+    bivariate_var,
+    feasible_designs,
+    hrf_filtered_references,
+    random_iss,
+    reference_models,
+)
+
+
+def _full_state_solve(joint, block):
+    """The block's marginal Riccati solve on every state of the joint model."""
+    idx = joint.require_partition().block(block)
+    kv = joint.K @ joint.V
+    return solve_dare(SSModel(joint.A, joint.C[idx], kv @ joint.K.T, joint.V[idx, idx], kv[:, idx]))
+
+
+def _min_phase_filtered_references():
+    filt = FirFilter.block_scalar([1.0, 0.3, -0.2], [1.0, -0.25, 0.1], JointPartition(1, 1))
+    return [apply_fir_filter(model, filt) for model in reference_models()]
 
 
 def test_submodel_spectrum_matches_joint_block():
@@ -109,3 +132,40 @@ def test_indefinite_innovation_covariance_is_a_named_error():
         extract_submodel(joint, "x")
     with pytest.raises(PreconditionError):
         gem_time_domain(joint)
+
+
+@pytest.mark.parametrize(
+    "models, kept",
+    [(hrf_filtered_references, 34), (_min_phase_filtered_references, 4)],
+    ids=["hrf", "minimum-phase"],
+)
+def test_filtered_submodels_drop_the_other_blocks_register(models, kept):
+    """A block never reads the other block's filter register: the submodel keeps
+    the VAR state and its own register, with the full-state V and the joint
+    block spectrum."""
+    grid = default_grid(512)
+    for joint in models():
+        part = joint.require_partition()
+        joint_curve = spectrum_of_iss(joint, grid)
+        for block in ("x", "y"):
+            sub = extract_submodel(joint, block)
+            assert sub.n == kept < joint.n
+            want = _full_state_solve(joint, block).V
+            assert np.abs(sub.V - want).max() <= 1e-12 * np.abs(want).max()
+            ref = joint_curve.values[:, part.block(block), part.block(block)]
+            got = submodel_spectrum(sub, grid).values
+            assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+def test_submodels_that_read_every_state_solve_on_the_full_state():
+    """Designed VAR(1), companion VAR and downsampled VAR(1) outputs read every
+    state: nothing is dropped and V is the full-state solve's, bit for bit."""
+    rng = np.random.default_rng(25)
+    designs = [model.to_iss() for _, model in feasible_designs(rng, 10)]
+    joints = designs + [bivariate_var(rng, lags) for lags in (2, 5)]
+    joints += [downsample_iss(joint, m) for joint in designs[:4] for m in (2, 5)]
+    for joint in joints:
+        for block in ("x", "y"):
+            sub = extract_submodel(joint, block)
+            assert sub.n == joint.n
+            assert np.array_equal(sub.V, _full_state_solve(joint, block).V)
