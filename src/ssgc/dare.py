@@ -73,10 +73,14 @@ def _check_budget(tol: float, max_iter: int) -> None:
 
 
 def _gain_pass(a, c, q, r, s, p, iterations: int):
-    """(K, V, Riccati map of p) at the iterate p; PreconditionError if V is not
+    """(K, V, Riccati map of p) at the iterate p, None standing for P = 0
+    (V = R, K = S R^{-1}, F = Q - S K^T); PreconditionError if V is not
     positive definite there."""
-    cp = c @ p
-    v = r + cp @ c.T
+    if p is None:
+        v, m, f = r, s, q
+    else:
+        cp = c @ p
+        v, m, f = r + cp @ c.T, a @ cp.T + s, a @ p @ a.T + q
     v = 0.5 * (v + v.T)
     try:
         np.linalg.cholesky(v)
@@ -85,9 +89,8 @@ def _gain_pass(a, c, q, r, s, p, iterations: int):
             "innovation covariance is not positive definite at iterate "
             f"{iterations}; the model violates the solver preconditions"
         ) from exc
-    m = a @ cp.T + s
     k = np.linalg.solve(v, m.T).T
-    return k, v, a @ p @ a.T + q - m @ k.T
+    return k, v, f - m @ k.T
 
 
 def _hewer(a, c, q, r, s, k) -> np.ndarray:
@@ -140,7 +143,7 @@ def riccati_fixed_point(
         if history is not None:
             history.append(pi.copy())
         pi = _hewer(a, c, q, r, s, _gain_pass(a, c, q, r, s, pi, 0)[0])
-    k, v, f_pi = _gain_pass(a, c, q, r, s, pi, done)
+    k, v, f_pi = _gain_pass(a, c, q, r, s, None if p0 is None else pi, done)
     if history is not None:
         history.append(pi.copy())
     # Doubling on X = P - Pi from A_0 = (A - K(Pi) C)^T, G_0 = C^T V(Pi)^{-1} C

@@ -9,11 +9,43 @@ the DARE of the state-space pair
 whose innovation covariance is the block's one-step prediction error
 covariance given its own past only.  The subscript o keeps the states the
 block reads: those where C_idx, or the row of A of a read state, has a
-nonzero.  The other states u have A[o, u] = 0 and C_idx[:, u] = 0, so x_o
+nonzero.  The other states have A[o, ~o] = 0 and C_idx[:, ~o] = 0, so x_o
 evolves on its own and the DARE on o has the same gain rows and innovation
 covariance as on the full state.  With o first, A is block triangular, so
 the dropped modes are stable modes of the stationary joint A.  When every
 state is read, o is the full state and the joint arrays are used as they are.
+
+Of the states o, some are known exactly from the block's own past output
+(a reduced-order observer, Luenberger 1971).  A copy state s has
+A[s] = C_idx[i], K[s, idx] = e_i and K[s, other] = 0, so x_s[t+1] = z_i[t];
+a shift state has a zero gain row and reads known states only (a fixed
+point).  The block's own lags in a companion model are such states.  The
+DARE is solved on the unknown states u alone,
+
+    (A_uu, C_idx,u, [K_u V K_u^T, V_idx, K_u V[:, idx]]),
+
+and its solution P_u, padded with zeros on the known states, solves the
+DARE on o: known states enter the filter as a known input, so their error
+covariance is zero.  The gain rows are then e_i on copy states, 0 on shift
+states and the reduced solve's K_u on u, and Omega = V_idx + C_u P_u C_u^T.
+In the order of the fixed point, the known rows of A - K C vanish on u and
+form a strictly lower triangular N on the known states (a copy row is
+C_idx[i] - C_idx[i] = 0), so the padded solution is the stabilizing one.
+The same rows of A_s = A - S V_idx^{-1} C_idx are those of A - K C, and
+those of Q_s are zero, so the reduced solve's named checks pass whenever
+the full ones would:
+
+- De: copy rows of A are rows of C_idx and shift rows read no u, so
+  A[known, u] v = 0 when C_u v = 0, and an eigenvector v of A_uu that C_u
+  cannot see lifts to the eigenvector [0; v] of A that C_idx cannot see.
+- St: with M = A_s[u, known], a left eigenvector w^T A_s,uu = lambda w^T,
+  |lambda| >= 1, with w^T Q_s,uu = 0 extends to [y; w], where
+  y^T = w^T M (lambda I - N)^{-1}, a left eigenvector of A_s that Q_s
+  cannot see.
+
+Conversely N has no eigenvalue on or outside the unit circle, so a failure
+of the full pair shows in the reduced one.  Models without copy states are
+solved on o as before, from the same arrays.
 """
 
 from __future__ import annotations
@@ -51,15 +83,48 @@ def _read_states(a: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _known_states(a: np.ndarray, c: np.ndarray, k: np.ndarray, idx: slice) -> np.ndarray | None:
+    """Mask of the states the block's own past output fixes, or None when there are none.
+
+    A copy state s has A[s] = c[i], K[s, idx] = e_i and K[s, other] = 0, so
+    x_s[t+1] = z_i[t].  A shift state has a zero gain row and reads known
+    states only; each wave of the fixed point adds the shift states whose
+    count of unknown reads has reached zero, so ordered by wave the known
+    rows of A - K C are strictly lower triangular.
+    """
+    one = k[:, idx] == 1.0
+    if not one.any():
+        return None
+    nonzeros = (k != 0).sum(axis=1)
+    known = ((a[:, None] == c).all(axis=2) & one).any(axis=1) & (nonzeros == 1)
+    if not known.any():
+        return None
+    shift = (nonzeros == 0) & ~known
+    if shift.any():
+        reads = a != 0
+        unknown_reads = reads[:, ~known].sum(axis=1)
+        wave = shift & (unknown_reads == 0)
+        while wave.any():
+            known |= wave
+            shift &= ~wave
+            unknown_reads -= reads[:, wave].sum(axis=1)
+            wave = shift & (unknown_reads == 0)
+    return known
+
+
 def _marginal_model(joint: ISSModel, idx: slice) -> ISSModel:
     a, c_sub, k = joint.A, joint.C[idx, :], joint.K
     keep = _read_states(a, c_sub)
     if keep is not None:  # a[keep][:, ~keep] = 0 and c_sub[:, ~keep] = 0
         a, c_sub, k = a[np.ix_(keep, keep)], c_sub[:, keep], k[keep]
-    kv = k @ joint.V
-    ss = SSModel(a, c_sub, kv @ k.T, joint.V[idx, idx], kv[:, idx])
-    sol = solve_dare(ss)
-    return ISSModel(a, c_sub, sol.K, sol.V, partition=None)
+    known = _known_states(a, c_sub, k, idx)
+    u = slice(None) if known is None else ~known  # the states the solve keeps
+    k_u = k[u]
+    kv = k_u @ joint.V
+    sol = solve_dare(SSModel(a[u][:, u], c_sub[:, u], kv @ k_u.T, joint.V[idx, idx], kv[:, idx]))
+    gain = k[:, idx].copy()  # e_i on copy states, 0 on shift states
+    gain[u] = sol.K
+    return ISSModel(a, c_sub, gain, sol.V, partition=None)
 
 
 def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
@@ -79,7 +144,11 @@ def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
         the block reads, which may be fewer than the joint model's (an
         FIR-filtered block drops the other block's filter register); its V
         is the block's own innovation covariance Omega, with Omega >= V_block
-        in the PSD order.
+        in the PSD order.  The Riccati equation is solved only on the states
+        the block's past leaves unknown (a companion model's other-block
+        lags, n/2 of n); K_block is rebuilt exactly on the known states, e_i
+        on a state that copies output i and 0 on one that shifts known
+        states (module docstring).
     """
     part = joint.require_partition()
     require_stationary(joint)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import ssgc.dare
+import ssgc.submodel
 from ssgc import (
     FirFilter,
     ISSModel,
@@ -36,6 +38,26 @@ def _full_state_solve(joint, block):
     idx = joint.require_partition().block(block)
     kv = joint.K @ joint.V
     return solve_dare(SSModel(joint.A, joint.C[idx], kv @ joint.K.T, joint.V[idx, idx], kv[:, idx]))
+
+
+def _assert_matches_full_state_solve(sub, joint, block, tol):
+    want = _full_state_solve(joint, block)
+    assert np.abs(sub.K - want.K).max() <= tol * np.abs(want.K).max()
+    assert np.abs(sub.V - want.V).max() <= tol * np.abs(want.V).max()
+
+
+def _solved_state_counts(monkeypatch, joint):
+    """State counts of the Riccati solves behind the x and y submodels."""
+    counts = []
+
+    def recording_solve(model, *args, **kwargs):
+        counts.append(model.A.shape[0])
+        return ssgc.dare.solve_dare(model, *args, **kwargs)
+
+    monkeypatch.setattr(ssgc.submodel, "solve_dare", recording_solve)
+    subs = [extract_submodel(joint, block) for block in ("x", "y")]
+    monkeypatch.undo()
+    return counts, subs
 
 
 def _min_phase_filtered_references():
@@ -169,3 +191,101 @@ def test_submodels_that_read_every_state_solve_on_the_full_state():
             sub = extract_submodel(joint, block)
             assert sub.n == joint.n
             assert np.array_equal(sub.V, _full_state_solve(joint, block).V)
+
+
+def test_submodel_module_solves_through_the_public_dare_binding():
+    # bench/tracing.py times the dare layer by wrapping this name.
+    assert ssgc.submodel.solve_dare is ssgc.dare.solve_dare
+
+
+@pytest.mark.parametrize("lags", [10, 40, 80])
+def test_companion_submodels_are_zero_on_the_blocks_own_lags(lags):
+    """The full-state Riccati solution of each block has rank n/2: the block's
+    own lags are known from its past.  The submodel solves on the other n/2
+    states and rebuilds K and Omega of the full-state solve."""
+    joint = bivariate_var(np.random.default_rng(26), lags)
+    for block in ("x", "y"):
+        assert np.linalg.matrix_rank(_full_state_solve(joint, block).P) == joint.n // 2
+        sub = extract_submodel(joint, block)
+        assert sub.n == joint.n
+        _assert_matches_full_state_solve(sub, joint, block, 1e-13)
+
+
+def test_designed_var1_submodels_match_the_full_state_solve():
+    rng = np.random.default_rng(27)
+    for _, model in feasible_designs(rng, 200):
+        joint = model.to_iss()
+        for block in ("x", "y"):
+            _assert_matches_full_state_solve(extract_submodel(joint, block), joint, block, 1e-13)
+
+
+def test_known_states_are_left_out_of_the_solve_only_where_the_past_fixes_them(monkeypatch):
+    """Companions solve on n/2 states; downsampled VAR(1) and filtered models
+    have no copy states and solve on every state they read."""
+    rng = np.random.default_rng(28)
+    companions = [bivariate_var(rng, lags) for lags in (1, 3, 10)]
+    designs = [model.to_iss() for _, model in feasible_designs(rng, 4)]
+    for joint in companions + designs:
+        assert _solved_state_counts(monkeypatch, joint)[0] == [joint.n // 2] * 2
+    for joint in companions[:1] + designs:
+        for m in (2, 3):
+            down = downsample_iss(joint, m)
+            assert _solved_state_counts(monkeypatch, down)[0] == [down.n] * 2
+    for joint in _min_phase_filtered_references():
+        assert _solved_state_counts(monkeypatch, joint)[0] == [4, 4]
+    for joint in hrf_filtered_references():
+        assert _solved_state_counts(monkeypatch, joint)[0] == [34, 34]
+
+
+def test_block_that_no_other_innovation_enters_has_its_own_innovations(monkeypatch):
+    # y never enters the x equation: x's lags are all it reads, and all are known.
+    joint = bivariate_var(np.random.default_rng(29), 3, one_sided=True)
+    counts, (sub_x, _) = _solved_state_counts(monkeypatch, joint)
+    assert counts == [0, 3]
+    assert np.array_equal(sub_x.V, joint.V[:1, :1])
+    assert np.abs(sub_x.V - _full_state_solve(joint, "x").V).max() <= 1e-13 * joint.V[0, 0]
+
+
+def test_state_permuted_companion_is_still_reduced(monkeypatch):
+    joint = bivariate_var(np.random.default_rng(30), 6)
+    perm = np.random.default_rng(31).permutation(joint.n)
+    permuted = ISSModel(joint.A[np.ix_(perm, perm)], joint.C[:, perm], joint.K[perm], joint.V,
+                        partition=joint.partition)
+    counts, subs = _solved_state_counts(monkeypatch, permuted)
+    assert counts == [joint.n // 2] * 2
+    for block, sub in zip(("x", "y"), subs):
+        _assert_matches_full_state_solve(sub, permuted, block, 1e-13)
+
+
+@pytest.mark.parametrize("perturbation", ["A one ulp", "K other block"])
+def test_inexact_copy_state_takes_the_full_path(monkeypatch, perturbation):
+    """State 0 copies x only when its rows of A and K match exactly: one ulp in
+    A, or a gain from y's innovation, leaves the x solve on every state."""
+    joint = bivariate_var(np.random.default_rng(32), 4)
+    a, k = joint.A.copy(), joint.K.copy()
+    if perturbation == "A one ulp":
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+    else:
+        k[0, 1] = 1e-3
+    changed = ISSModel(a, joint.C, k, joint.V, partition=joint.partition)
+    counts, subs = _solved_state_counts(monkeypatch, changed)
+    assert counts == [joint.n, joint.n // 2]
+    for block, sub in zip(("x", "y"), subs):
+        _assert_matches_full_state_solve(sub, changed, block, 1e-12)
+
+
+def test_downsampled_var_keeps_copies_of_its_last_sample(monkeypatch):
+    """A VAR(3) sampled every 2nd step carries its last sample in states 2 and
+    3 (the state x[2k + 2] holds z[2k]), whose gain rows are e_x and e_y in
+    exact arithmetic.  Set to those values, they are copy states, and each
+    submodel still matches the full-state solve."""
+    down = downsample_iss(bivariate_var(np.random.default_rng(28), 3), 2)
+    assert np.array_equal(down.A[2:4], down.C)
+    assert np.abs(down.K[2:4] - np.eye(2)).max() < 1e-12
+    k = down.K.copy()
+    k[2:4] = np.eye(2)
+    joint = ISSModel(down.A, down.C, k, down.V, partition=down.partition)
+    counts, subs = _solved_state_counts(monkeypatch, joint)
+    assert counts == [5, 5]
+    for block, sub in zip(("x", "y"), subs):
+        _assert_matches_full_state_solve(sub, joint, block, 1e-13)
