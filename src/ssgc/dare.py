@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import model as _model
 from .errors import PreconditionError
-from .model import _MAX_DOUBLINGS, SSModel, _doubling, _is_int, pbh_test, solve_lyapunov
+from .model import SSModel, _doubling, pbh_test, solve_lyapunov
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_DOUBLINGS = _MAX_DOUBLINGS
 
 __all__ = ["DareSolution", "solve_dare", "riccati_fixed_point"]
 
@@ -65,13 +65,6 @@ class DareSolution(NamedTuple):
     history: tuple = ()
 
 
-def _check_budget(tol: float, max_iter: int) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
-    if not _is_int(max_iter) or max_iter < 0:
-        raise ValueError("max_iter must be a non-negative integer")
-
-
 def _gain_pass(a, c, q, r, s, p, iterations: int):
     """(K, V, Riccati map of p) at the iterate p, None standing for P = 0
     (V = R, K = S R^{-1}, F = Q - S K^T); PreconditionError if V is not
@@ -107,8 +100,6 @@ def riccati_fixed_point(
     q: np.ndarray,
     r: np.ndarray,
     s: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_DOUBLINGS,
     p0: np.ndarray | None = None,
     keep_history: bool = False,
 ):
@@ -121,19 +112,18 @@ def riccati_fixed_point(
     (Hewer 1971).  The doubling loop of ``model`` then runs on X = P - Pi
     from the start Pi (zero, or the Newton iterate) and stops when
     consecutive entries of Pi, Pi + X_1, Pi + X_2, Pi + X_4, ... differ by
-    at most tol * max(1, ||P||_F); Newton-Hewer steps follow while the
-    residual ||P - F(P)||_F is above that bound and still falling.
-    ``iterations`` counts the steps as ``DareSolution`` does, max_iter
-    bounds them, and ``history`` (when requested) holds p0 and the iterate
-    after each step.  Raises ValueError unless tol is finite and positive
-    and max_iter a non-negative integer, PreconditionError if V fails its
-    Cholesky factorization at a start or an iterate, or a Newton step (the
-    one from K(p0) included) meets an unstable A - K C, and ConvergenceError
-    when the doubling exhausts the budget, overflows or meets a singular
-    step ("doubling ..."), or a Newton step's Lyapunov solve fails on a
-    stable A - K C ("Lyapunov doubling ...").
+    at most DEFAULT_TOL * max(1, ||P||_F); Newton-Hewer steps follow while
+    the residual ||P - F(P)||_F is above that bound and still falling.
+    ``iterations`` counts the steps as ``DareSolution`` does, the loop's
+    budget ``model._MAX_DOUBLINGS`` (64 steps, covering 2^63 steps of the
+    plain recursion) bounds them, and ``history`` (when requested) holds p0
+    and the iterate after each step.  Raises PreconditionError if V fails
+    its Cholesky factorization at a start or an iterate, or a Newton step
+    (the one from K(p0) included) meets an unstable A - K C, and
+    ConvergenceError when the doubling exhausts the budget, overflows or
+    meets a singular step ("doubling ..."), or a Newton step's Lyapunov
+    solve fails on a stable A - K C ("Lyapunov doubling ...").
     """
-    _check_budget(tol, max_iter)
     history: list[np.ndarray] | None = [] if keep_history else None
     if p0 is None:
         pi, done = np.zeros(a.shape), 0
@@ -151,13 +141,14 @@ def riccati_fixed_point(
     g = c.T @ np.linalg.solve(v, c)
     g = 0.5 * (g + g.T)
     p, _, iterations = _doubling(
-        (a - k @ c).T, g, 0.5 * (f_pi + f_pi.T) - pi, pi, tol, done, max_iter, history
+        (a - k @ c).T, g, 0.5 * (f_pi + f_pi.T) - pi, pi, DEFAULT_TOL, done, history
     )
 
     k, v, p_map = _gain_pass(a, c, q, r, s, p, iterations)
     residual = float(np.linalg.norm(p - p_map))
-    # Newton-Hewer refinement at the gain K of the previous P.
-    while residual > tol * max(1.0, float(np.linalg.norm(p))) and iterations < max_iter:
+    # Newton-Hewer refinement at the gain K of the previous P, within the doubling's budget.
+    budget = _model._MAX_DOUBLINGS
+    while residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(p))) and iterations < budget:
         p_new = _hewer(a, c, q, r, s, k)
         k_new, v_new, p_map = _gain_pass(a, c, q, r, s, p_new, iterations + 1)
         residual_new = float(np.linalg.norm(p_new - p_map))
@@ -200,12 +191,7 @@ def _check_preconditions(model: SSModel) -> None:
         )
 
 
-def solve_dare(
-    model: SSModel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_DOUBLINGS,
-    keep_history: bool = False,
-) -> DareSolution:
+def solve_dare(model: SSModel, keep_history: bool = False) -> DareSolution:
     """Solve the DARE for a general-noise state-space model.
 
     Parameters
@@ -214,14 +200,6 @@ def solve_dare(
         Model supplying (A, C, [Q, R, S]).  Preconditions: R positive definite,
         (A_s, Q_s^(1/2)) stabilizable and (A, C) detectable; all three are
         checked and reported by name on failure.
-    tol : float
-        Relative Frobenius convergence tolerance between consecutive entries
-        of P_0, P_1, P_2, P_4, ..., finite and positive.
-    max_iter : int
-        Step budget, a non-negative integer: P_0 -> P_1 is one step, each
-        doubling P_{2^k} -> P_{2^(k+1)} and each Newton step one more, so the
-        default of 64 steps covers 2^63 steps of the plain recursion and a
-        solve that cannot converge fails at once.
     keep_history : bool
         Store the iterates P_0, P_1, P_2, P_4, ... and the Newton iterates in
         the solution (for diagnostics); ``len(history) == iterations + 1``.
@@ -231,15 +209,19 @@ def solve_dare(
     DareSolution
         The core's result unchanged, stabilizing: spectral_radius(A - K C) < 1
         and V > 0; its ``iterations`` counts doubling and Newton steps.
+        Consecutive entries of P_0, P_1, P_2, P_4, ... met DEFAULT_TOL in
+        relative Frobenius norm within the one 64-step budget: P_0 -> P_1 is
+        one step, each doubling P_{2^k} -> P_{2^(k+1)} and each Newton step
+        one more, so a solve that cannot converge fails at once.
 
     Raises
     ------
     PreconditionError
         If a precondition fails.
     ConvergenceError
-        If the budget of ``max_iter`` steps runs out or the iterates diverge.
+        If the 64-step budget runs out or the iterates diverge.
     """
     _check_preconditions(model)
     return riccati_fixed_point(
-        model.A, model.C, model.Q, model.R, model.S, tol, max_iter, keep_history=keep_history
+        model.A, model.C, model.Q, model.R, model.S, keep_history=keep_history
     )

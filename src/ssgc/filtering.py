@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dare import DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, riccati_fixed_point
+from .dare import DEFAULT_TOL, riccati_fixed_point
 from .errors import ConvergenceError, PreconditionError
 from .model import (
     ISSModel,
@@ -118,8 +118,9 @@ class FirFilter:
         return self.taps[:, 0, 0]
 
     def frequency_response(self, grid: np.ndarray) -> np.ndarray:
-        """Phi(e^{-j lambda}) on the grid, shape (N, p, p)."""
-        lam = np.asarray(grid, dtype=float)
+        """Phi(e^{-j lambda}) on the grid, shape (N, p, p); the grid is checked
+        as in ``ISSModel.frequency_response`` (ValueError)."""
+        lam = _check_grid(grid)
         phases = np.exp(-1j * lam[:, None] * np.arange(self.q + 1)[None, :])
         return np.einsum("nk,kij->nij", phases, self.taps.astype(complex))
 
@@ -148,12 +149,7 @@ class AllPassDecomposition:
     reconstruction_check: float
 
 
-def apply_fir_filter(
-    joint: ISSModel,
-    filt: FirFilter,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_DOUBLINGS,
-) -> ISSModel:
+def apply_fir_filter(joint: ISSModel, filt: FirFilter) -> ISSModel:
     """ISS model of the FIR-filtered process Phi(L) z.
 
     Parameters
@@ -165,11 +161,6 @@ def apply_fir_filter(
         re-factored.
     filt : FirFilter
         Filter with the same output dimension as the model.
-    tol : float
-        Riccati convergence tolerance.
-    max_iter : int
-        Riccati step budget: each doubling and each Newton step is one step,
-        so the default of 64 covers 2^63 steps of the plain recursion.
 
     Returns
     -------
@@ -183,7 +174,9 @@ def apply_fir_filter(
     ConvergenceError
         If the filtered process is rank deficient (det Phi with unit-circle
         zeros, or a singular V), so that no full-rank innovations model exists;
-        the message ends with the Riccati core's own.
+        the message ends with the Riccati core's own.  The core's one budget
+        of 64 steps (each doubling and each Newton step one) covers 2^63 steps
+        of the plain recursion, so a unit-circle zero fails at once.
     """
     require_stationary(joint)
     if filt.p != joint.p:
@@ -218,7 +211,7 @@ def apply_fir_filter(
 
     pi = solve_lyapunov(a, q_mat)
     try:
-        sol = riccati_fixed_point(a, c, q_mat, r_mat, s_mat, tol=tol, max_iter=max_iter, p0=pi)
+        sol = riccati_fixed_point(a, c, q_mat, r_mat, s_mat, p0=pi)
     except (PreconditionError, ConvergenceError) as exc:
         raise ConvergenceError(
             "the filtered process is rank deficient (its filter determinant "
@@ -227,7 +220,7 @@ def apply_fir_filter(
     rho = spectral_radius(a - sol.K @ c)
     # Doubling resolves 1 - rho only to about sqrt(eps).
     scale = max(1.0, float(np.linalg.norm(sol.P, "fro")))
-    if rho >= 1.0 - 4.0 * np.sqrt(np.finfo(float).eps) or sol.residual > 10.0 * tol * scale:
+    if rho >= 1.0 - 4.0 * np.sqrt(np.finfo(float).eps) or sol.residual > 10.0 * DEFAULT_TOL * scale:
         raise ConvergenceError(
             "no stabilizing factorization of the filtered process found "
             f"(error spectral radius {rho:.6g}, residual {sol.residual:.3g})"
@@ -260,8 +253,6 @@ def allpass_decompose(
     filter_model: ISSModel | FirFilter,
     sigma: np.ndarray | None = None,
     grid: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_DOUBLINGS,
 ) -> AllPassDecomposition:
     """Split a filter spectrum G Sigma G* into minimum-phase and all-pass parts.
 
@@ -277,14 +268,18 @@ def allpass_decompose(
         Evaluation grid for the all-pass factor; defaults to 4096 uniform
         points on [-pi, pi).  It must be 1-D, finite, strictly increasing and
         span at most one period (ValueError otherwise).
-    tol, max_iter
-        Riccati tolerance and step budget, as in ``apply_fir_filter``.
 
     Returns
     -------
     AllPassDecomposition
         Minimum-phase model (G_o, V_o), sampled all-pass factor E and the two
         deviation checks.
+
+    Raises
+    ------
+    ConvergenceError
+        As ``apply_fir_filter``, when the spectrum has no full-rank
+        minimum-phase factor.
     """
     grid = default_grid() if grid is None else _check_grid(grid)
 
@@ -304,7 +299,7 @@ def allpass_decompose(
         raise TypeError("filter_model must be an ISSModel or a FirFilter")
 
     sig = source.V
-    min_phase = apply_fir_filter(source, filt, tol, max_iter)
+    min_phase = apply_fir_filter(source, filt)
     g_eval = filter_model.frequency_response(grid)
     go_eval = min_phase.frequency_response(grid)
     j = np.linalg.cholesky(sig)
@@ -335,8 +330,11 @@ def hrf_glover(
 
     with (tau_a, m) = (1.1, 5), (tau_b, p) = (0.9, 12) and alpha = 0.4; each
     gamma bump is normalized to peak at 1.  Taps are c_k = h(k tr) for
-    k = 1..floor(duration / tr); h(0) = 0 is dropped.
+    k = 1..floor(duration / tr); h(0) = 0 is dropped.  Every argument must be
+    finite (ValueError).
     """
+    if not np.all(np.isfinite([fa, fb, tr, duration])):
+        raise ValueError("fa, fb, tr and duration must be finite")
     if tr <= 0 or duration < tr:
         raise ValueError("need tr > 0 and duration >= tr")
     if fa <= 0 or fb < 0:

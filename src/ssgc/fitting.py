@@ -78,14 +78,17 @@ def fit_var_ols(series: TimeSeries | np.ndarray, order: int):
 
 
 def simulate_var(coefficients, sigma, steps: int, rng: np.random.Generator, burn_in: int = 500):
-    """Draw a Gaussian VAR sample path, discarding a transient prefix."""
+    """Draw a Gaussian VAR sample path, discarding a transient prefix.
+
+    steps must be a positive and burn_in a nonnegative integer (ValueError).
+    """
     coeffs = [np.asarray(a, dtype=float) for a in coefficients]
     sig = np.asarray(sigma, dtype=float)
     p = coeffs[0].shape[0]
     if any(a.shape != (p, p) for a in coeffs) or sig.shape != (p, p):
         raise ValueError("coefficient and covariance matrices must share one square shape")
-    if steps < 1 or burn_in < 0:
-        raise ValueError("steps must be positive and burn_in nonnegative")
+    if not (_is_int(steps) and _is_int(burn_in)) or steps < 1 or burn_in < 0:
+        raise ValueError("steps must be a positive integer and burn_in a nonnegative integer")
     try:
         noise_factor = np.linalg.cholesky(sig)
     except np.linalg.LinAlgError as exc:

@@ -731,7 +731,7 @@ def _converged(step: np.ndarray, p: np.ndarray, tol: float) -> bool:
     return np.linalg.norm(step) <= tol * max(1.0, np.linalg.norm(p))
 
 
-def _doubling(a_k, g, x_next, shift, tol, done, max_steps, history=None):
+def _doubling(a_k, g, x_next, shift, tol, done, history=None):
     """The one doubling loop (Chu, Fan & Lin 2005): (shift + X, A_k, steps).
 
     W = I + G_k H_k, A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k^T
@@ -739,14 +739,14 @@ def _doubling(a_k, g, x_next, shift, tol, done, max_steps, history=None):
     G = 0: W = I, no solve, H_k is Smith's 2^k-term sum of X = A_0^T X A_0 + H_0
     and A_k = A_0^(2^k).  Step done + 1 takes X = H_0, each later one a doubling,
     until consecutive X differ by at most tol * max(1, ||shift + X||_F); history
-    gets shift + X per step.  ConvergenceError after step max_steps, or when a
-    step overflows or meets a singular W.
+    gets shift + X per step.  ConvergenceError after step _MAX_DOUBLINGS, read
+    at call time, or when a step overflows or meets a singular W.
     """
     n = len(x_next)
     x, eye = np.zeros((n, n)), np.eye(n)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for step in range(done + 1, max_steps + 1):
+            for step in range(done + 1, _MAX_DOUBLINGS + 1):
                 if step > done + 1:
                     if g is None:
                         w_inv_a = a_k
@@ -768,7 +768,7 @@ def _doubling(a_k, g, x_next, shift, tol, done, max_steps, history=None):
                     return p, a_k, step
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise ConvergenceError(f"doubling diverged at step {step}") from exc
-    raise ConvergenceError(f"doubling did not converge in {max_steps} steps")
+    raise ConvergenceError(f"doubling did not converge in {_MAX_DOUBLINGS} steps")
 
 
 def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -788,7 +788,7 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError("a must be a square matrix and w of the same shape")
     failure, power, j = None, None, 0
     try:
-        p, power, steps = _doubling(a.T, None, 0.5 * (w + w.T), 0.0, LYAPUNOV_TOL, 0, _MAX_DOUBLINGS)
+        p, power, steps = _doubling(a.T, None, 0.5 * (w + w.T), 0.0, LYAPUNOV_TOL, 0)
         power, j = power.T, steps - 1
     except ConvergenceError as exc:
         failure = exc

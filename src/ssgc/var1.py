@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDesignError
-from .model import ISSModel, JointPartition, var_to_iss
+from .model import ISSModel, JointPartition, _is_int, var_to_iss
 
 __all__ = ["Var1Design", "Var1Model", "design_var1", "var1_fyx_closed_form"]
 
@@ -46,10 +46,10 @@ class Var1Design:
             raise ValueError("causal strengths xi must be nonnegative")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
-        if self.sign_gx not in (-1, 1) or self.sign_gy not in (-1, 1):
-            raise ValueError("sign selectors must be +1 or -1")
-        if self.root_case not in (1, 2):
-            raise ValueError("root_case must be 1 or 2")
+        if not all(_is_int(s) and s in (-1, 1) for s in (self.sign_gx, self.sign_gy)):
+            raise ValueError("sign selectors must be the integers +1 or -1")
+        if not (_is_int(self.root_case) and self.root_case in (1, 2)):
+            raise ValueError("root_case must be the integer 1 or 2")
         for lam in (self.lambda1, self.lambda2):
             if abs(lam) >= 1.0:
                 raise ValueError("eigenvalues must lie strictly inside the unit circle")

@@ -20,9 +20,9 @@ from ssgc import (
     spectral_radius,
     var_to_iss,
 )
-from ssgc.dare import DEFAULT_TOL, _check_budget, _gain_pass
+from ssgc.dare import DEFAULT_TOL, _gain_pass
 from ssgc.errors import ConvergenceError
-from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult, _converged
+from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult, _converged, _is_int
 
 
 class ReferenceScenario(NamedTuple):
@@ -359,7 +359,10 @@ def riccati_loop(
     PreconditionError if some iterate's innovation covariance fails its
     Cholesky factorization and ConvergenceError when the budget is exhausted.
     """
-    _check_budget(tol, max_iter)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if not _is_int(max_iter) or max_iter < 0:
+        raise ValueError("max_iter must be a non-negative integer")
     n = a.shape[0]
     p = 0.5 * (p0 + p0.T) if p0 is not None else np.zeros((n, n))
     history: list[np.ndarray] = [p.copy()] if keep_history else []

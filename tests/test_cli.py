@@ -266,6 +266,11 @@ def test_hrf_table_and_phase_line(capsys):
     assert lines[-1].startswith("minimum phase:")
 
 
+def test_hrf_non_finite_argument_exits_1(capsys):
+    assert main(["hrf", "--duration", "inf"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fit_recovers_var_and_round_trips(tmp_path, capsys):
     rng = np.random.default_rng(91)
     a1 = np.array([[0.5, 0.4], [0.0, 0.3]])

@@ -64,6 +64,11 @@ def test_fir_frequency_response():
     h = f.frequency_response(grid)
     assert h[0, 0, 0] == pytest.approx(1.5)
     assert h[1, 0, 0] == pytest.approx(1 + 0.5 * np.exp(-1j * np.pi / 2))
+    assert f.frequency_response([np.pi / 2])[0, 0, 0] == pytest.approx(h[1, 0, 0])
+    for bad, why in (([0.0, np.nan, 1.0], "non-finite"), ([], "empty"),
+                     ([[0.0, 1.0]], "1-D")):
+        with pytest.raises(ValueError, match=why):
+            f.frequency_response(bad)
 
 
 def test_min_phase_check_classifies_first_order():
@@ -158,18 +163,18 @@ def test_filter_dimension_mismatch_rejected():
         apply_fir_filter(joint, FirFilter.identity(joint.p + 1))
 
 
-def test_unit_circle_zero_has_no_innovations_model():
-    # (1 - L) annihilates the process at frequency zero; the factorization
-    # recursion only creeps toward the boundary, so bound its budget
-    joint = ISSModel(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1))
-    with pytest.raises(ConvergenceError, match=r"unit circle\): doubling did not converge"):
-        apply_fir_filter(joint, FirFilter.scalar([1.0, -1.0]), max_iter=20000)
-
-
-@pytest.mark.parametrize("taps", [[1.0, -1.0], [1.0, 1.0]], ids=["zero+1", "zero-1"])
-def test_unit_circle_zero_fails_fast_at_the_default_budget(taps):
-    joint = ISSModel(np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 1)), np.eye(1))
-    with pytest.raises(ConvergenceError, match="unit circle.*did not converge in 64 steps"):
+@pytest.mark.parametrize(
+    "n, taps",
+    [(0, [1.0, -1.0]), (0, [1.0, 1.0]), (1, [1.0, -1.0]), (1, [1.0, 1.0])],
+    ids=["zero+1", "zero-1", "n1-zero+1", "n1-zero-1"],
+)
+def test_unit_circle_zero_fails_fast_at_the_default_budget(n, taps):
+    """1 - L or 1 + L annihilates the process at a unit-circle frequency, so
+    no full-rank innovations model exists; the factorization only creeps
+    toward the boundary, and the one 64-step budget (2^63 plain steps) ends
+    it at once, on white noise (n = 0) and on a model with a state."""
+    joint = ISSModel(np.zeros((n, n)), np.zeros((1, n)), np.zeros((n, 1)), np.eye(1))
+    with pytest.raises(ConvergenceError, match=r"circle\): doubling did not converge in 64 steps"):
         apply_fir_filter(joint, FirFilter.scalar(taps))
 
 
@@ -368,6 +373,9 @@ def test_hrf_argument_validation():
         hrf_glover(tr=2.0, duration=1.0)
     with pytest.raises(ValueError):
         hrf_glover(fa=-1.0)
+    for bad in ({"duration": np.inf}, {"tr": np.nan}, {"fa": np.inf}, {"fb": np.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            hrf_glover(**bad)
 
 
 def test_hrf_without_undershoot_is_positive():

@@ -60,6 +60,10 @@ def test_simulation_is_reproducible_and_burned_in():
     big = simulate_var(a, sigma, 50000, np.random.default_rng(5))
     head, tail = big[:25000], big[25000:]
     assert np.var(head) == pytest.approx(np.var(tail), rel=0.1)
+    for bad in ({"steps": 2.5}, {"steps": True}, {"steps": 0}, {"burn_in": 2.5},
+                {"burn_in": True}, {"burn_in": -1}):
+        with pytest.raises(ValueError, match="must be a"):
+            simulate_var(a, sigma, rng=np.random.default_rng(6), **{"steps": 10, **bad})
 
 
 def test_fit_rejects_short_records_and_collinearity():

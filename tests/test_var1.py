@@ -93,6 +93,11 @@ def test_design_container_validation():
         Var1Design(0.5, 0.3, 0.1, 0.1, 0.0, sign_gx=2)
     with pytest.raises(ValueError):
         Var1Design(0.5, 0.3, 0.1, 0.1, 0.0, root_case=3)
+    for bad in (True, 1.0):  # selectors are integers, never a bool or a float
+        for field in ("sign_gx", "sign_gy", "root_case"):
+            with pytest.raises(ValueError):
+                Var1Design(0.5, 0.3, 0.1, 0.1, 0.0, **{field: bad})
+    Var1Design(0.5, 0.3, 0.1, 0.1, 0.0, sign_gy=np.int64(-1), root_case=np.int64(2))  # numpy ints
 
 
 def test_closed_form_direction_validated():
