@@ -40,7 +40,7 @@ from .model import (
     validate_iss,
     var_to_iss,
 )
-from .submodel import extract_submodel, log_det_spectrum_integral, submodel_spectrum
+from .submodel import extract_submodel, log_det_spectrum_integral
 from .sweep import SweepResult, SweepRow, run_scenario_sweep
 from .var1 import Var1Design, Var1Model, design_var1, var1_fyx_closed_form
 
@@ -93,7 +93,6 @@ __all__ = [
     "solve_lyapunov",
     "spectral_radius",
     "spectrum_of_iss",
-    "submodel_spectrum",
     "validate_iss",
     "var1_fyx_closed_form",
     "var_to_iss",

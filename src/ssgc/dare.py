@@ -175,10 +175,12 @@ def _check_preconditions(model: SSModel) -> None:
             f"joint noise covariance [[Q, S], [S^T, R]] is not PSD (min eigenvalue {min_eig:.3g})"
         )
 
-    eigvals, vecs = np.linalg.eigh(model.q_s)
+    # St on the P = 0 pass the core starts from: A_s = A - K_0 C and Q_s = F(0).
+    k0, _, q_s = _gain_pass(model.A, model.C, model.Q, model.R, model.S, None, 0)
+    eigvals, vecs = np.linalg.eigh(q_s)
     # Eigenvalues at rounding level count as zero: their roots would clear the staircase floor.
     kept = eigvals > stacked.shape[0] * np.finfo(float).eps * np.abs(stacked).max()
-    st = pbh_test(model.a_s, vecs[:, kept] * np.sqrt(eigvals[kept]), "stabilizable")
+    st = pbh_test(model.A - k0 @ model.C, vecs[:, kept] * np.sqrt(eigvals[kept]), "stabilizable")
     if not st.passed:
         raise PreconditionError(
             f"condition St violated: (A_s, Q_s^(1/2)) not stabilizable, eigenvalue {st.witness:.6g}"

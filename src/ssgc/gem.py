@@ -40,6 +40,9 @@ from .model import (
 )
 from .submodel import extract_submodel
 
+# Relative threshold of gc_classify: C_target on the reachable basis, and V's cross block.
+CLASSIFY_TOL = 1e-8
+
 __all__ = [
     "GemSummary",
     "FrequencyGem",
@@ -179,23 +182,23 @@ def gem_frequency(
     return FrequencyGem(curve, _periodic_mean(curve.grid, vals))
 
 
-def gc_classify(joint: ISSModel, tol: float = 1e-8) -> GcFlags:
+def gc_classify(joint: ISSModel) -> GcFlags:
     """Structural causality classification of a partitioned model.
 
     The dynamic influence y -> x is declared absent when C_x A^r K_y = 0 for
-    every r, that is when C_x vanishes (relative to tol * ||C_x||) on an
-    orthonormal basis of the subspace reachable from K_y (``pbh_test``'s
+    every r, that is when C_x vanishes (relative to CLASSIFY_TOL * ||C_x||)
+    on an orthonormal basis of the subspace reachable from K_y (``pbh_test``'s
     staircase).  The strong form also requires a block-diagonal joint innovation
     covariance.  Flags are True when the corresponding influence is PRESENT.
     """
     part = joint.require_partition()
-    v_scale = tol * max(1.0, float(np.linalg.norm(joint.V, 2)))
+    v_scale = CLASSIFY_TOL * max(1.0, float(np.linalg.norm(joint.V, 2)))
 
     def absent(direction: str) -> bool:
         target, source = part.direction(direction)
         c_target = joint.C[target]
-        basis, _ = _reachable_basis(joint.A, joint.K[:, source], tol)
-        return bool(np.linalg.norm(c_target @ basis) <= tol * np.linalg.norm(c_target))
+        basis, _ = _reachable_basis(joint.A, joint.K[:, source], CLASSIFY_TOL)
+        return bool(np.linalg.norm(c_target @ basis) <= CLASSIFY_TOL * np.linalg.norm(c_target))
 
     cross_small = float(np.linalg.norm(joint.V[part.x, part.y], 2)) <= v_scale
     yx_absent = absent("y->x")

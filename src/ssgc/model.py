@@ -14,6 +14,7 @@ spectral evaluation, and autocovariance sequences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,8 +32,6 @@ _MAX_DOUBLINGS = 64
 DEFAULT_GRID_SIZE = 4096
 # Largest complex (chunk, n, n) resolvent stack the dense transfer rule allocates.
 DENSE_CHUNK_BYTES = 64 * 2**20
-# Most squarings A^(2^j) taken to certify rho(A) < 1 - STABILITY_MARGIN.
-UNIFORM_MAX_SQUARINGS = 64
 # A squaring whose 1-norm passes this ends the certificate before it can overflow.
 _SQUARING_NORM_CAP = 1e100
 
@@ -83,14 +82,14 @@ def spectral_radius(a: np.ndarray) -> float:
 def _certified_stable(power: np.ndarray, j: int) -> bool:
     """True if a squaring proves rho(A) < 1 - STABILITY_MARGIN, given power = A^(2^j).
 
-    By Gelfand's bound rho(A)^m <= ||A^m||, a squaring A^(2^i), j <= i <=
-    UNIFORM_MAX_SQUARINGS, of 1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.
-    False when none is found: at the cap, once that bound underflows to 0, or once
-    the norm passes _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows.
+    By Gelfand's bound rho(A)^m <= ||A^m||, a squaring A^(2^i), i >= j, of
+    1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.  False when none is
+    found: once that bound underflows to 0 (at i = 50), or once the norm passes
+    _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows.
     Also False once |tr A^(2^i)| >= n (1 - STABILITY_MARGIN)^(2^i), which proves
     rho(A) >= 1 - STABILITY_MARGIN (|tr A^m| <= n rho^m), so no certificate exists.
     """
-    for i in range(j, UNIFORM_MAX_SQUARINGS + 1):
+    for i in itertools.count(j):
         bound = (1.0 - STABILITY_MARGIN) ** (2**i)
         norm = np.abs(power).sum(axis=0).max(initial=0.0)
         if norm < bound:
@@ -100,7 +99,6 @@ def _certified_stable(power: np.ndarray, j: int) -> bool:
         if abs(power.trace()) >= len(power) * bound:
             return False
         power = power @ power
-    return False
 
 
 def _radius_if_unstable(a: np.ndarray, power: np.ndarray | None = None, j: int = 0) -> float | None:
@@ -353,17 +351,6 @@ class SSModel:
     def p(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def a_s(self) -> np.ndarray:
-        """A - S R^{-1} C, the dynamics matrix with measurement noise removed."""
-        return self.A - self.S @ np.linalg.solve(self.R, self.C)
-
-    @property
-    def q_s(self) -> np.ndarray:
-        """Q - S R^{-1} S^T, the reduced process noise covariance."""
-        qs = self.Q - self.S @ np.linalg.solve(self.R, self.S.T)
-        return 0.5 * (qs + qs.T)
-
 
 @dataclass(frozen=True, eq=False)
 class ISSModel:
@@ -426,8 +413,8 @@ class ISSModel:
         rows C A^k nor an (N, n, n) stack.  Stability is
         certified by the squaring certificate of the one stability rule,
         continued from the last square A^(2^j), 2^j <= N, that the rule
-        computes anyway: some A^(2^j), j <= UNIFORM_MAX_SQUARINGS, of 1-norm
-        below (1 - STABILITY_MARGIN)^(2^j).  Every other input (a non-uniform
+        computes anyway: some A^(2^j) of 1-norm below
+        (1 - STABILITY_MARGIN)^(2^j).  Every other input (a non-uniform
         grid, or an A without that certificate) takes the pointwise resolvent
         solve C (e^{j lambda} I - A)^{-1} K, in chunks of at most
         DENSE_CHUNK_BYTES of complex (n, n) matrices (one point at a time once

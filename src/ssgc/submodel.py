@@ -16,35 +16,44 @@ the dropped modes are stable modes of the stationary joint A.  When every
 state is read, o is the full state and the joint arrays are used as they are.
 
 Of the states o, some are known exactly from the block's own past output
-(a reduced-order observer, Luenberger 1971).  A copy state s has
-A[s] = C_idx[i], K[s, idx] = e_i and K[s, other] = 0, so x_s[t+1] = z_i[t];
-a shift state has a zero gain row and reads known states only (a fixed
-point).  The block's own lags in a companion model are such states.  The
-DARE is solved on the unknown states u alone,
+(a reduced-order observer, Luenberger 1971).  With e_idx = z_idx - C_idx x,
+the joint model in the block's filter form is
+
+    x[t+1] = F x[t] + K_idx z_idx[t] + K_other e_other[t],   F = A - K_idx C_idx.
+
+A state s is known when K_other[s] = 0 and its row of F reads known states
+only (a fixed point): x_s[t+1] = F[s] x[t] + K_idx[s] z_idx[t] is then a
+function of the block's past.  A copy state (A[s] = C_idx[i] and
+K_idx[s] = e_i, so F[s] = 0) and a shift state (a zero gain row, so
+F[s] = A[s]) are special cases; the block's own lags in a companion model
+are such states.  The DARE is solved on the unknown states u alone,
 
     (A_uu, C_idx,u, [K_u V K_u^T, V_idx, K_u V[:, idx]]),
 
 and its solution P_u, padded with zeros on the known states, solves the
 DARE on o: known states enter the filter as a known input, so their error
-covariance is zero.  The gain rows are then e_i on copy states, 0 on shift
-states and the reduced solve's K_u on u, and Omega = V_idx + C_u P_u C_u^T.
-In the order of the fixed point, the known rows of A - K C vanish on u and
-form a strictly lower triangular N on the known states (a copy row is
-C_idx[i] - C_idx[i] = 0), so the padded solution is the stabilizing one.
-The same rows of A_s = A - S V_idx^{-1} C_idx are those of A - K C, and
-those of Q_s are zero, so the reduced solve's named checks pass whenever
-the full ones would:
+covariance is zero.  On a known row, K[s] V[:, idx] = K_idx[s] V_idx
+(K_other[s] = 0) and A[s, u] = K_idx[s] C_u (F[s, u] = 0), so the gain
+(A[s, u] P_u C_u^T + K[s] V[:, idx]) Omega^{-1} is K_idx[s], with
+Omega = V_idx + C_u P_u C_u^T: the gain rows are the joint K_idx on the
+known states and the reduced solve's K_u on u.  In the order of the fixed
+point, the known rows of A - K C are those of F, which vanish on u and form
+a strictly lower triangular N on the known states, so the padded solution
+is the stabilizing one.  The same rows of A_s = A - S V_idx^{-1} C_idx are
+those of F too, and those of Q_s = K (V - V[:, idx] V_idx^{-1} V[idx, :]) K^T
+are zero, so the reduced solve's named checks pass whenever the full ones
+would:
 
-- De: copy rows of A are rows of C_idx and shift rows read no u, so
-  A[known, u] v = 0 when C_u v = 0, and an eigenvector v of A_uu that C_u
-  cannot see lifts to the eigenvector [0; v] of A that C_idx cannot see.
+- De: A[known, u] = K_idx[known] C_u, so A[known, u] v = 0 when C_u v = 0,
+  and an eigenvector v of A_uu that C_u cannot see lifts to the
+  eigenvector [0; v] of A that C_idx cannot see.
 - St: with M = A_s[u, known], a left eigenvector w^T A_s,uu = lambda w^T,
   |lambda| >= 1, with w^T Q_s,uu = 0 extends to [y; w], where
   y^T = w^T M (lambda I - N)^{-1}, a left eigenvector of A_s that Q_s
   cannot see.
 
 Conversely N has no eigenvalue on or outside the unit circle, so a failure
-of the full pair shows in the reduced one.  Models without copy states are
+of the full pair shows in the reduced one.  Models without known states are
 solved on o as before, from the same arrays.
 """
 
@@ -60,10 +69,9 @@ from .model import (
     _logdet_pd,
     _periodic_mean,
     require_stationary,
-    spectrum_of_iss,
 )
 
-__all__ = ["extract_submodel", "submodel_spectrum", "log_det_spectrum_integral"]
+__all__ = ["extract_submodel", "log_det_spectrum_integral"]
 
 
 def _read_states(a: np.ndarray, c: np.ndarray) -> np.ndarray | None:
@@ -83,48 +91,29 @@ def _read_states(a: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _known_states(a: np.ndarray, c: np.ndarray, k: np.ndarray, idx: slice) -> np.ndarray | None:
+def _known_states(
+    a: np.ndarray, c: np.ndarray, k_own: np.ndarray, k_other: np.ndarray
+) -> np.ndarray | None:
     """Mask of the states the block's own past output fixes, or None when there are none.
 
-    A copy state s has A[s] = c[i], K[s, idx] = e_i and K[s, other] = 0, so
-    x_s[t+1] = z_i[t].  A shift state has a zero gain row and reads known
-    states only; each wave of the fixed point adds the shift states whose
-    count of unknown reads has reached zero, so ordered by wave the known
-    rows of A - K C are strictly lower triangular.
+    A state is known when its row of k_other is zero and its row of the
+    filter-form dynamics a - k_own c reads known states only (module
+    docstring).  Each wave of the fixed point adds the free states that read
+    no unknown state, so ordered by wave the known rows of a - k_own c are
+    strictly lower triangular.
     """
-    one = k[:, idx] == 1.0
-    if not one.any():
+    free = ~k_other.any(axis=1)
+    if not free.any():
         return None
-    nonzeros = (k != 0).sum(axis=1)
-    known = ((a[:, None] == c).all(axis=2) & one).any(axis=1) & (nonzeros == 1)
-    if not known.any():
-        return None
-    shift = (nonzeros == 0) & ~known
-    if shift.any():
-        reads = a != 0
-        unknown_reads = reads[:, ~known].sum(axis=1)
-        wave = shift & (unknown_reads == 0)
-        while wave.any():
-            known |= wave
-            shift &= ~wave
-            unknown_reads -= reads[:, wave].sum(axis=1)
-            wave = shift & (unknown_reads == 0)
-    return known
-
-
-def _marginal_model(joint: ISSModel, idx: slice) -> ISSModel:
-    a, c_sub, k = joint.A, joint.C[idx, :], joint.K
-    keep = _read_states(a, c_sub)
-    if keep is not None:  # a[keep][:, ~keep] = 0 and c_sub[:, ~keep] = 0
-        a, c_sub, k = a[np.ix_(keep, keep)], c_sub[:, keep], k[keep]
-    known = _known_states(a, c_sub, k, idx)
-    u = slice(None) if known is None else ~known  # the states the solve keeps
-    k_u = k[u]
-    kv = k_u @ joint.V
-    sol = solve_dare(SSModel(a[u][:, u], c_sub[:, u], kv @ k_u.T, joint.V[idx, idx], kv[:, idx]))
-    gain = k[:, idx].copy()  # e_i on copy states, 0 on shift states
-    gain[u] = sol.K
-    return ISSModel(a, c_sub, gain, sol.V, partition=None)
+    reads = a - k_own @ c != 0
+    unknown = np.ones(len(a), dtype=bool)
+    while free.any():
+        wave = free & ~(reads @ unknown)
+        if not wave.any():
+            break
+        unknown ^= wave
+        free ^= wave
+    return None if unknown.all() else ~unknown
 
 
 def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
@@ -146,18 +135,26 @@ def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
         is the block's own innovation covariance Omega, with Omega >= V_block
         in the PSD order.  The Riccati equation is solved only on the states
         the block's past leaves unknown (a companion model's other-block
-        lags, n/2 of n); K_block is rebuilt exactly on the known states, e_i
-        on a state that copies output i and 0 on one that shifts known
-        states (module docstring).
+        lags, n/2 of n); K_block is rebuilt exactly on the known states,
+        where it is the joint gain from the block's own innovation (module
+        docstring).
     """
     part = joint.require_partition()
     require_stationary(joint)
-    return _marginal_model(joint, part.block(block))
-
-
-def submodel_spectrum(sub: ISSModel, grid: np.ndarray | None = None) -> SpectralCurve:
-    """Spectrum of an extracted block model (plain ISS spectrum)."""
-    return spectrum_of_iss(sub, grid)
+    idx = part.block(block)
+    other = part.y if idx == part.x else part.x
+    a, c_sub, k = joint.A, joint.C[idx, :], joint.K
+    keep = _read_states(a, c_sub)
+    if keep is not None:  # a[keep][:, ~keep] = 0 and c_sub[:, ~keep] = 0
+        a, c_sub, k = a[np.ix_(keep, keep)], c_sub[:, keep], k[keep]
+    gain = k[:, idx].copy()  # exact on the known states
+    known = _known_states(a, c_sub, gain, k[:, other])
+    u = slice(None) if known is None else ~known  # the states the solve keeps
+    k_u = k[u]
+    kv = k_u @ joint.V
+    sol = solve_dare(SSModel(a[u][:, u], c_sub[:, u], kv @ k_u.T, joint.V[idx, idx], kv[:, idx]))
+    gain[u] = sol.K
+    return ISSModel(a, c_sub, gain, sol.V, partition=None)
 
 
 def log_det_spectrum_integral(curve: SpectralCurve) -> float:

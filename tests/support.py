@@ -145,6 +145,14 @@ def random_ss(
     return SSModel(a, c, g @ g.T, h @ h.T, g @ h.T, partition=JointPartition(px, py))
 
 
+def shifted_pair(model: SSModel) -> tuple[np.ndarray, np.ndarray]:
+    """(A_s, Q_s) = (A - S R^{-1} C, Q - S R^{-1} S^T): the pair with the
+    measurement noise regressed out, on which St is stated."""
+    a_s = model.A - model.S @ np.linalg.solve(model.R, model.C)
+    q_s = model.Q - model.S @ np.linalg.solve(model.R, model.S.T)
+    return a_s, 0.5 * (q_s + q_s.T)
+
+
 def random_iss(
     rng: np.random.Generator,
     n: int | None = None,

@@ -45,7 +45,6 @@ from ssgc import (
     solve_dare,
     spectral_radius,
     spectrum_of_iss,
-    submodel_spectrum,
     var1_fyx_closed_form,
     var_to_iss,
 )
@@ -158,9 +157,9 @@ def test_criterion_05_submodel_spectrum_matches_joint_block():
         part = joint.require_partition()
         sub = extract_submodel(joint, "x")
         ref = spectrum_of_iss(joint, grid).values[:, part.x, part.x]
-        got = submodel_spectrum(sub, grid).values
+        got = spectrum_of_iss(sub, grid).values
         assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
-        integral = log_det_spectrum_integral(submodel_spectrum(sub))
+        integral = log_det_spectrum_integral(spectrum_of_iss(sub))
         assert abs(integral - np.linalg.slogdet(sub.V)[1]) <= 1e-8
 
 

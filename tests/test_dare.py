@@ -14,13 +14,14 @@ from ssgc import (
     allpass_decompose,
     apply_fir_filter,
     extract_submodel,
+    gc_classify,
     riccati_fixed_point,
     solve_dare,
     spectral_radius,
 )
 from ssgc.model import SSModel
 
-from support import hrf_filtered_references, random_ss, riccati_loop
+from support import hrf_filtered_references, random_ss, riccati_loop, shifted_pair
 
 
 def scalar_fixed_point(a, c, q, r, s):
@@ -211,8 +212,10 @@ def test_budget_is_counted_in_doubling_steps(monkeypatch):
 
 def test_entry_points_take_no_budget_options():
     """The one budget and tolerance are constants of the core: no entry
-    point takes a tol or max_iter, so no caller can make a solve run longer."""
-    for entry in (riccati_fixed_point, solve_dare, apply_fir_filter, allpass_decompose):
+    point takes a tol or max_iter, so no caller can make a solve run longer;
+    gc_classify's threshold is a constant too."""
+    entries = (riccati_fixed_point, solve_dare, apply_fir_filter, allpass_decompose, gc_classify)
+    for entry in entries:
         params = inspect.signature(entry).parameters
         assert "tol" not in params and "max_iter" not in params
 
@@ -226,7 +229,7 @@ def test_doubling_iterates_are_the_loops_powers_of_two():
         *_, loop = riccati_loop(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, keep_history=True)
         assert len(sol.history) == sol.iterations + 1
         assert not sol.history[0].any()
-        np.testing.assert_allclose(sol.history[1], mdl.q_s, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(sol.history[1], shifted_pair(mdl)[1], rtol=1e-14, atol=1e-14)
         compared = 0
         for j in range(1, len(sol.history)):
             if 2 ** (j - 1) >= len(loop):
@@ -300,7 +303,7 @@ def test_stable_a_with_unstable_a_s():
     unstable = 0
     for _ in range(100):
         mdl = random_ss(rng)
-        if spectral_radius(mdl.a_s) < 1.0:
+        if spectral_radius(shifted_pair(mdl)[0]) < 1.0:
             continue
         unstable += 1
         sol = solve_dare(mdl)

@@ -20,7 +20,6 @@ from ssgc import (
     log_det_spectrum_integral,
     solve_dare,
     spectrum_of_iss,
-    submodel_spectrum,
     validate_iss,
 )
 
@@ -76,7 +75,7 @@ def test_submodel_spectrum_matches_joint_block():
         joint_curve = spectrum_of_iss(joint, grid)
         for block, sl in (("x", part.x), ("y", part.y)):
             sub = extract_submodel(joint, block)
-            sub_curve = submodel_spectrum(sub, grid)
+            sub_curve = spectrum_of_iss(sub, grid)
             ref = joint_curve.values[:, sl, sl]
             scale = np.abs(ref).max()
             assert np.abs(sub_curve.values - ref).max() < 1e-7 * scale
@@ -97,7 +96,7 @@ def test_log_det_integral_recovers_innovation_covariance():
     for _ in range(10):
         joint = random_iss(rng)
         sub = extract_submodel(joint, "y")
-        integral = log_det_spectrum_integral(submodel_spectrum(sub))
+        integral = log_det_spectrum_integral(spectrum_of_iss(sub))
         _, expected = np.linalg.slogdet(sub.V)
         assert integral == pytest.approx(expected, abs=1e-8)
 
@@ -175,7 +174,7 @@ def test_filtered_submodels_drop_the_other_blocks_register(models, kept):
             want = _full_state_solve(joint, block).V
             assert np.abs(sub.V - want).max() <= 1e-12 * np.abs(want).max()
             ref = joint_curve.values[:, part.block(block), part.block(block)]
-            got = submodel_spectrum(sub, grid).values
+            got = spectrum_of_iss(sub, grid).values
             assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
@@ -221,7 +220,7 @@ def test_designed_var1_submodels_match_the_full_state_solve():
 
 def test_known_states_are_left_out_of_the_solve_only_where_the_past_fixes_them(monkeypatch):
     """Companions solve on n/2 states; downsampled VAR(1) and filtered models
-    have no copy states and solve on every state they read."""
+    have no known states and solve on every state they read."""
     rng = np.random.default_rng(28)
     companions = [bivariate_var(rng, lags) for lags in (1, 3, 10)]
     designs = [model.to_iss() for _, model in feasible_designs(rng, 4)]
@@ -255,6 +254,21 @@ def test_state_permuted_companion_is_still_reduced(monkeypatch):
     assert counts == [joint.n // 2] * 2
     for block, sub in zip(("x", "y"), subs):
         _assert_matches_full_state_solve(sub, permuted, block, 1e-13)
+
+
+def test_state_with_an_own_block_gain_is_known(monkeypatch):
+    """Give x's second lag the own-block gain 0.7 and the row e_0 + 0.7 C_x of
+    A: its filter-form row is still e_0, so it and the lag after it are known,
+    and the x solve runs on n/2 states with the full-state K and Omega."""
+    joint = bivariate_var(np.random.default_rng(33), 3)
+    a, k = joint.A.copy(), joint.K.copy()
+    a[2] = np.eye(joint.n)[0] + 0.7 * joint.C[0]
+    k[2, 0] = 0.7
+    changed = ISSModel(a, joint.C, k, joint.V, partition=joint.partition)
+    counts, subs = _solved_state_counts(monkeypatch, changed)
+    assert counts == [joint.n // 2] * 2
+    for block, sub in zip(("x", "y"), subs):
+        _assert_matches_full_state_solve(sub, changed, block, 1e-13)
 
 
 @pytest.mark.parametrize("perturbation", ["A one ulp", "K other block"])
