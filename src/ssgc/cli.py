@@ -33,6 +33,7 @@ from .model import (
     DEFAULT_GRID_SIZE,
     ISSModel,
     JointPartition,
+    _as_matrix,
     _is_int,
     default_grid,
     spectrum_of_iss,
@@ -77,7 +78,7 @@ def _print_table(headers, rows, digits: int) -> None:
 
 
 def _print_matrix(title: str, mat, digits: int) -> None:
-    body = [[_fmt(v, digits) for v in row] for row in np.atleast_2d(np.asarray(mat, dtype=float))]
+    body = [[_fmt(v, digits) for v in row] for row in mat]
     widths = [max(len(r[j]) for r in body) for j in range(len(body[0]))]
     print(f"{title}:")
     for row in body:
@@ -95,13 +96,7 @@ def _write_csv(path: str, headers, rows, digits: int) -> None:
 def _doc_matrix(doc: dict, key: str) -> np.ndarray:
     if key not in doc:
         raise ValueError(f"model document is missing {key!r}")
-    try:
-        arr = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"model entry {key!r} is not a numeric array") from exc
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"model entry {key!r} contains non-finite values")
-    return arr
+    return _as_matrix(doc[key], f"model entry {key!r}")
 
 
 def _doc_partition(doc: dict, p: int) -> JointPartition | None:
@@ -124,13 +119,12 @@ def _load_model(path: str) -> ISSModel:
     kind = doc.get("type")
     if kind == "iss":
         a, c, k, v = (_doc_matrix(doc, key) for key in ("A", "C", "K", "V"))
-        return ISSModel(a, c, k, v, _doc_partition(doc, c.shape[0] if c.ndim == 2 else 1))
+        return ISSModel(a, c, k, v, _doc_partition(doc, c.shape[0]))
     if kind == "var":
         if "coeffs" not in doc or not isinstance(doc["coeffs"], list) or not doc["coeffs"]:
             raise ValueError('VAR document needs a non-empty "coeffs" list')
-        coeffs = [_doc_matrix({"lag": c}, "lag") for c in doc["coeffs"]]
         sigma = _doc_matrix(doc, "sigma")
-        return var_to_iss(coeffs, sigma, _doc_partition(doc, sigma.shape[0]))
+        return var_to_iss(doc["coeffs"], sigma, _doc_partition(doc, sigma.shape[0]))
     raise ValueError(f'{path}: "type" must be "iss" or "var"')
 
 
@@ -167,7 +161,7 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _read_series(path: str) -> tuple[list[str], np.ndarray]:
+def _read_series(path: str) -> tuple[list[str], list[list[float]]]:
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
@@ -193,7 +187,7 @@ def _read_series(path: str) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: row {i} has a non-numeric cell") from exc
     if not data:
         raise ValueError(f"{path}: no data rows below the header")
-    return header, np.array(data)
+    return header, data
 
 
 def _gem_rows(summary) -> list:

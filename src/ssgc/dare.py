@@ -167,19 +167,19 @@ def _check_preconditions(model: SSModel) -> None:
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("condition N violated: R is not positive definite") from exc
 
-    stacked = np.block([[model.Q, model.S], [model.S.T, model.R]])
-    min_eig = float(np.linalg.eigvalsh(0.5 * (stacked + stacked.T)).min())
-    scale = max(1.0, float(np.abs(stacked).max()))
-    if min_eig < -1e-9 * scale:
-        raise PreconditionError(
-            f"joint noise covariance [[Q, S], [S^T, R]] is not PSD (min eigenvalue {min_eig:.3g})"
-        )
-
     # St on the P = 0 pass the core starts from: A_s = A - K_0 C and Q_s = F(0).
     k0, _, q_s = _gain_pass(model.A, model.C, model.Q, model.R, model.S, None, 0)
     eigvals, vecs = np.linalg.eigh(q_s)
+    # With R > 0, [[Q, S], [S^T, R]] is PSD exactly when its Schur complement Q_s is.
+    top = max(float(np.abs(m).max(initial=0.0)) for m in (model.Q, model.S, model.R))
+    min_eig = float(eigvals.min(initial=np.inf))
+    if min_eig < -1e-9 * max(1.0, top):
+        raise PreconditionError(
+            "joint noise covariance [[Q, S], [S^T, R]] is not PSD "
+            f"(Q - S R^-1 S^T has min eigenvalue {min_eig:.3g})"
+        )
     # Eigenvalues at rounding level count as zero: their roots would clear the staircase floor.
-    kept = eigvals > stacked.shape[0] * np.finfo(float).eps * np.abs(stacked).max()
+    kept = eigvals > (model.n + model.p) * np.finfo(float).eps * top
     st = pbh_test(model.A - k0 @ model.C, vecs[:, kept] * np.sqrt(eigvals[kept]), "stabilizable")
     if not st.passed:
         raise PreconditionError(

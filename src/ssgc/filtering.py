@@ -27,7 +27,9 @@ from .errors import ConvergenceError, PreconditionError
 from .model import (
     ISSModel,
     JointPartition,
+    _as_matrix,
     _check_grid,
+    _check_symmetric,
     default_grid,
     require_stationary,
     solve_lyapunov,
@@ -263,7 +265,8 @@ def allpass_decompose(
         driven by noise of covariance V (its gain need not be stabilizing, so
         non-minimum-phase parameterizations are accepted).  A FirFilter is
         read as G(L) = sum_k taps[k] L^k driven by noise of covariance
-        ``sigma`` (identity when omitted).
+        ``sigma`` (identity when omitted; ValueError unless a finite symmetric
+        (p, p) array, read by ``_as_matrix``).
     grid : ndarray, optional
         Evaluation grid for the all-pass factor; defaults to 4096 uniform
         points on [-pi, pi).  It must be 1-D, finite, strictly increasing and
@@ -289,7 +292,7 @@ def allpass_decompose(
         source, filt = filter_model, FirFilter.identity(filter_model.p)
     elif isinstance(filter_model, FirFilter):
         p = filter_model.p
-        sig = np.eye(p) if sigma is None else np.asarray(sigma, dtype=float)
+        sig = np.eye(p) if sigma is None else _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
         if sig.shape != (p, p):
             raise ValueError("sigma shape does not match the filter dimension")
         # White noise of covariance sigma (no state) passed through the filter.

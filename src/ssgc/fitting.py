@@ -13,27 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import _is_int
+from .model import _as_matrix, _check_symmetric, _is_int
 
 __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Finite multivariate record, one row per time step."""
+    """Finite multivariate record, one row per time step (a 1-D array is one
+    channel), read by the one matrix rule ``_as_matrix``."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] < 2:
+        values = self.values
+        if np.ndim(values) == 1:  # one channel
+            values = np.reshape(values, (-1, 1))
+        vals = _as_matrix(values, "time series")
+        if vals.shape[0] < 2:
             raise ValueError("time series must be a (steps, channels) array with steps >= 2")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("time series contains non-finite values")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -80,10 +78,12 @@ def fit_var_ols(series: TimeSeries | np.ndarray, order: int):
 def simulate_var(coefficients, sigma, steps: int, rng: np.random.Generator, burn_in: int = 500):
     """Draw a Gaussian VAR sample path, discarding a transient prefix.
 
-    steps must be a positive and burn_in a nonnegative integer (ValueError).
+    steps must be a positive and burn_in a nonnegative integer, every lag and
+    sigma a finite 2-D array (``_as_matrix``) of one square shape, and sigma
+    symmetric (ValueError).
     """
-    coeffs = [np.asarray(a, dtype=float) for a in coefficients]
-    sig = np.asarray(sigma, dtype=float)
+    coeffs = [_as_matrix(a, f"coefficients[{i}]") for i, a in enumerate(coefficients)]
+    sig = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
     p = coeffs[0].shape[0]
     if any(a.shape != (p, p) for a in coeffs) or sig.shape != (p, p):
         raise ValueError("coefficient and covariance matrices must share one square shape")

@@ -30,7 +30,9 @@ from .model import (
     ISSModel,
     JointPartition,
     SpectralCurve,
+    _as_matrix,
     _check_grid,
+    _check_symmetric,
     _is_int,
     _logdet_pd,
     _periodic_mean,
@@ -101,10 +103,11 @@ class Chi2Result:
 def instantaneous_gem(sigma, partition: JointPartition) -> float:
     """Instantaneous measure ln |V_x||V_y| / |V| of a joint covariance.
 
-    Raises PreconditionError unless V and both diagonal blocks are positive
-    definite.
+    ValueError unless sigma is a finite symmetric 2-D array (``_as_matrix``)
+    of the partition's size; PreconditionError unless V and both diagonal
+    blocks are positive definite.
     """
-    v = np.asarray(sigma, dtype=float)
+    v = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
     if v.shape != (partition.p, partition.p):
         raise ValueError("covariance shape does not match the partition")
     vx = v[partition.x, partition.x]

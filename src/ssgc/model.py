@@ -56,7 +56,12 @@ __all__ = [
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    m = np.array(value, dtype=float)
+    """The one reader of matrix arguments: a frozen 2-D float copy of value, whose
+    entries are finite, else ValueError naming `name`."""
+    try:
+        m = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # a dict, a ragged list, a string
+        raise ValueError(f"{name} is not a numeric array") from exc
     if m.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -67,7 +72,8 @@ def _as_matrix(value, name: str) -> np.ndarray:
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > tol * scale:
+    # A non-square m is not symmetric; m - m.T would broadcast a (1, p) row to (p, p).
+    if m.shape != m.T.shape or np.abs(m - m.T).max(initial=0.0) > tol * scale:
         raise ValueError(f"{name} must be symmetric")
     sym = 0.5 * (m + m.T)
     sym.setflags(write=False)
@@ -143,7 +149,9 @@ def _periodic_mean(grid: np.ndarray, values: np.ndarray) -> float:
 def _logdet_pd(mat: np.ndarray, what: str):
     """ln det of a Hermitian positive definite matrix (a float) or (N, p, p) stack.
 
-    A failed Cholesky of the Hermitian part raises PreconditionError naming `what`.
+    A failed Cholesky of the Hermitian part, or a log determinant that is not
+    finite (NaN or inf entries pass numpy's Cholesky), raises PreconditionError
+    naming `what`.
     """
     herm = 0.5 * (mat + np.swapaxes(mat, -1, -2).conj())
     try:
@@ -151,6 +159,8 @@ def _logdet_pd(mat: np.ndarray, what: str):
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"{what} is not positive definite") from exc
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    if not np.isfinite(logdet).all():
+        raise PreconditionError(f"{what} is not positive definite with a finite log determinant")
     return float(logdet) if logdet.ndim == 0 else logdet
 
 
@@ -440,7 +450,8 @@ class SpectralCurve:
     """Spectral values sampled on a frequency grid.
 
     Values are either a stack of Hermitian PSD matrices, shape (N, p, p), or a
-    1-D array of nonnegative scalars (used for log-spectral ratio curves).
+    1-D array of nonnegative scalars (used for log-spectral ratio curves), and
+    every value is finite.
     """
 
     grid: np.ndarray
@@ -452,12 +463,14 @@ class SpectralCurve:
         values = np.asarray(self.values)
         if len(grid) != len(values):
             raise ValueError("grid and values must have matching leading length")
-        if values.ndim == 1:
-            values = values.astype(float)
-            if values.min(initial=0.0) < -1e-10:
-                raise ValueError("scalar curve has a significantly negative value")
-        elif values.ndim == 3 and values.shape[1] == values.shape[2]:
-            values = values.astype(complex)
+        if not (values.ndim == 1 or (values.ndim == 3 and values.shape[1] == values.shape[2])):
+            raise ValueError("values must be (N,) scalars or an (N, p, p) matrix stack")
+        values = values.astype(float if values.ndim == 1 else complex)
+        if not np.isfinite(values).all():
+            raise ValueError("values contain non-finite entries")
+        if values.ndim == 1 and values.min(initial=0.0) < -1e-10:
+            raise ValueError("scalar curve has a significantly negative value")
+        if values.ndim == 3:
             scale = max(1.0, float(np.abs(values).max(initial=0.0)))
             herm_dev = np.abs(values - values.conj().transpose(0, 2, 1)).max(initial=0.0)
             if herm_dev > 1e-12 * scale:
@@ -466,8 +479,6 @@ class SpectralCurve:
             min_eig = float(np.linalg.eigvalsh(values).min())
             if min_eig < -1e-10 * scale:
                 raise ValueError("matrix curve is not positive semi-definite within tolerance")
-        else:
-            raise ValueError("values must be (N,) scalars or an (N, p, p) matrix stack")
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -666,38 +677,40 @@ def var_to_iss(
 
     Raises
     ------
+    ValueError
+        If a lag or sigma is not a finite 2-D array (``_as_matrix``), the shapes
+        disagree, or sigma is not symmetric.
     PreconditionError
         If the companion matrix is unstable or sigma is not positive definite.
     """
-    coeffs = [np.asarray(c, dtype=float) for c in coefficients]
+    coeffs = [_as_matrix(c, f"coefficients[{i}]") for i, c in enumerate(coefficients)]
     if len(coeffs) < 1:
         raise ValueError("need at least one lag coefficient matrix")
     p = coeffs[0].shape[0]
-    for c in coeffs:
-        if c.shape != (p, p):
-            raise ValueError("all lag coefficients must be square with equal size")
-    sigma = np.asarray(sigma, dtype=float)
+    if any(c.shape != (p, p) for c in coeffs):
+        raise ValueError("all lag coefficients must be square with equal size")
+    sigma = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
     if sigma.shape != (p, p):
         raise ValueError("sigma shape does not match the coefficients")
+    return _companion_iss(coeffs, sigma, partition)
+
+
+def _companion_iss(coeffs: list, sigma: np.ndarray, partition: JointPartition | None) -> ISSModel:
+    """``var_to_iss`` on lag matrices and a sigma already read and checked for shape."""
     try:
-        np.linalg.cholesky(0.5 * (sigma + sigma.T))
+        np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("sigma must be positive definite") from exc
 
-    r = len(coeffs)
-    n = r * p
-    companion = np.zeros((n, n))
-    companion[:p, :] = np.hstack(coeffs)
-    if r > 1:
-        companion[p:, : n - p] = np.eye(n - p)
+    p = len(sigma)
+    n = len(coeffs) * p
+    c = np.hstack(coeffs)
+    companion = np.eye(n, k=-p)  # the shift rows [I 0] below the lag rows C
+    companion[:p] = c
     rho = _radius_if_unstable(companion)
     if rho is not None:
         raise PreconditionError(f"VAR is unstable: companion spectral radius = {rho:.6g}")
-
-    c = np.hstack(coeffs)
-    k = np.zeros((n, p))
-    k[:p, :] = np.eye(p)
-    return ISSModel(companion, c, k, 0.5 * (sigma + sigma.T), partition)
+    return ISSModel(companion, c, np.eye(n, p), sigma, partition)
 
 
 def spectrum_of_iss(model: ISSModel, grid: np.ndarray | None = None) -> SpectralCurve:
@@ -767,12 +780,16 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     last square A^(2^j) (from A when the loop fails).  Raises
     PreconditionError naming the spectral radius of an unstable A, even one
     that W never reaches, and ConvergenceError ("Lyapunov doubling ...")
-    when the loop fails on a stable A.
+    when the loop fails on a stable A.  ValueError unless a is square and w
+    of its shape, then unless both are finite (``_as_matrix``).
     """
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or w.shape != a.shape:
+    try:
+        square = np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] and np.shape(w) == np.shape(a)
+    except ValueError:  # a ragged nested list has no shape
+        square = False
+    if not square:
         raise ValueError("a must be a square matrix and w of the same shape")
+    a, w = _as_matrix(a, "a"), _as_matrix(w, "w")
     failure, power, j = None, None, 0
     try:
         p, power, steps = _doubling(a.T, None, 0.5 * (w + w.T), 0.0, LYAPUNOV_TOL, 0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDesignError
-from .model import ISSModel, JointPartition, _is_int, var_to_iss
+from .model import ISSModel, JointPartition, _as_matrix, _companion_iss, _is_int
 
 __all__ = ["Var1Design", "Var1Model", "design_var1", "var1_fyx_closed_form"]
 
@@ -42,8 +42,8 @@ class Var1Design:
     root_case: int = 1
 
     def __post_init__(self) -> None:
-        if self.xi_x < 0 or self.xi_y < 0:
-            raise ValueError("causal strengths xi must be nonnegative")
+        if not (0.0 <= self.xi_x < math.inf and 0.0 <= self.xi_y < math.inf):
+            raise ValueError("causal strengths xi must be finite and nonnegative")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         if not all(_is_int(s) and s in (-1, 1) for s in (self.sign_gx, self.sign_gy)):
@@ -51,7 +51,7 @@ class Var1Design:
         if not (_is_int(self.root_case) and self.root_case in (1, 2)):
             raise ValueError("root_case must be the integer 1 or 2")
         for lam in (self.lambda1, self.lambda2):
-            if abs(lam) >= 1.0:
+            if not abs(lam) < 1.0:  # NaN is not inside either
                 raise ValueError("eigenvalues must lie strictly inside the unit circle")
 
 
@@ -63,17 +63,16 @@ class Var1Model:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.A, dtype=float)
-        s = np.asarray(self.sigma, dtype=float)
+        a = _as_matrix(self.A, "A")
+        s = _as_matrix(self.sigma, "sigma")
         if a.shape != (2, 2) or s.shape != (2, 2):
             raise ValueError("Var1Model matrices must be 2x2")
-        a.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "sigma", s)
 
     def to_iss(self) -> ISSModel:
-        return var_to_iss([self.A], self.sigma, JointPartition(1, 1))
+        """``var_to_iss([A], sigma)``, on the matrices this model has already read."""
+        return _companion_iss([self.A], self.sigma, JointPartition(1, 1))
 
 
 def design_var1(design: Var1Design) -> Var1Model:

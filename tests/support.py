@@ -25,6 +25,16 @@ from ssgc.errors import ConvergenceError
 from ssgc.model import PBH_TOL, STABILITY_MARGIN, PbhResult, _converged, _is_int
 
 
+# Matrix arguments every public entry rejects by name (``model._as_matrix``):
+# (value, the message after the argument's name).
+BAD_MATRICES = (
+    ([[np.nan]], "contains non-finite entries"),
+    ([[np.inf]], "contains non-finite entries"),
+    ([1.0], "must be a 2-D array"),
+    ({"a": 1.0}, "is not a numeric array"),
+)
+
+
 class ReferenceScenario(NamedTuple):
     """Bivariate design with tabulated measures across the acceptance sweep factors.
 

@@ -65,6 +65,23 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, name", [
+    ({"type": "iss", "A": [[float("nan")]], "C": [[1.0]], "K": [[0.5]], "V": [[1.0]]},
+     "model entry 'A' contains non-finite entries"),
+    ({"type": "iss", "A": [[0.5]], "C": {"c": 1.0}, "K": [[0.5]], "V": [[1.0]]},
+     "model entry 'C' is not a numeric array"),
+    ({"type": "var", "coeffs": [[[float("nan")]]], "sigma": [[1.0]]},
+     "coefficients[0] contains non-finite entries"),
+    ({"type": "var", "coeffs": [[[0.5]]], "sigma": {"s": 1.0}},
+     "model entry 'sigma' is not a numeric array"),
+])
+def test_non_finite_or_non_numeric_entry_is_a_usage_error(doc, name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the literal NaN
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {name}"]
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["validate", "no_such_file.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -93,9 +110,10 @@ def test_gem_table_and_csv(model_file, tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "fyx,fxy,fydx,fxoy"
     values = [float(v) for v in lines[1].split(",")]
+    with open(model_file) as fh:
+        doc = json.load(fh)
     g = ssgc.gem_time_domain(ssgc.ISSModel(
-        **{k: np.array(json.load(open(model_file))[k]) for k in "ACKV"},
-        partition=ssgc.JointPartition(1, 1),
+        **{k: np.array(doc[k]) for k in "ACKV"}, partition=ssgc.JointPartition(1, 1)
     ))
     assert values == pytest.approx([g.fyx, g.fxy, g.fydx, g.fxoy], rel=1e-4)
 

@@ -20,7 +20,7 @@ from ssgc import (
 import ssgc.dare
 import ssgc.filtering
 
-from support import hrf_filtered_references, random_iss, riccati_loop
+from support import BAD_MATRICES, hrf_filtered_references, random_iss, riccati_loop
 
 
 def make_block_min_phase(rng, part: JointPartition, order: int = 2) -> FirFilter:
@@ -335,6 +335,11 @@ def test_allpass_sigma_only_for_fir():
     rng = np.random.default_rng(55)
     with pytest.raises(ValueError):
         allpass_decompose(random_iss(rng), sigma=np.eye(2))
+    for bad, message in BAD_MATRICES:
+        with pytest.raises(ValueError, match=f"^sigma {message}"):
+            allpass_decompose(FirFilter.identity(1), sigma=bad)
+    with pytest.raises(ValueError, match="^sigma must be symmetric$"):
+        allpass_decompose(FirFilter.identity(2), sigma=np.array([[1.0, 0.9], [-0.9, 1.0]]))
 
 
 def test_hrf_shape_and_sign_structure():

@@ -13,7 +13,7 @@ from ssgc import (
     var_to_iss,
 )
 
-from support import stable_matrix
+from support import BAD_MATRICES, stable_matrix
 
 
 def test_time_series_container():
@@ -64,6 +64,14 @@ def test_simulation_is_reproducible_and_burned_in():
                 {"burn_in": True}, {"burn_in": -1}):
         with pytest.raises(ValueError, match="must be a"):
             simulate_var(a, sigma, rng=np.random.default_rng(6), **{"steps": 10, **bad})
+    for bad, message in BAD_MATRICES:
+        with pytest.raises(ValueError, match=rf"^coefficients\[0\] {message}"):
+            simulate_var([bad], sigma, 10, np.random.default_rng(6))
+        with pytest.raises(ValueError, match=f"^sigma {message}"):
+            simulate_var(a, bad, 10, np.random.default_rng(6))
+    skew = np.array([[1.0, 0.9], [-0.9, 1.0]])  # not read by its lower triangle alone
+    with pytest.raises(ValueError, match="^sigma must be symmetric$"):
+        simulate_var([np.zeros((2, 2))], skew, 10, np.random.default_rng(6))
 
 
 def test_fit_rejects_short_records_and_collinearity():

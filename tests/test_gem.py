@@ -19,6 +19,7 @@ from ssgc import (
 )
 
 from support import (
+    BAD_MATRICES,
     bivariate_var,
     instantaneous_gem_canonical,
     random_iss,
@@ -63,6 +64,10 @@ def test_instantaneous_measure_input_checks():
         instantaneous_gem(np.eye(3), part)
     with pytest.raises(PreconditionError):
         instantaneous_gem(np.array([[1.0, 1.0], [1.0, 1.0]]), part)  # singular
+    skew = np.array([[1.0, 0.9], [-0.9, 1.0]])  # not averaged to the identity
+    for bad, message in BAD_MATRICES + ((skew, "must be symmetric"),):
+        with pytest.raises(ValueError, match=f"^sigma {message}"):
+            instantaneous_gem(bad, part)
 
 
 def test_instantaneous_measure_matches_canonical_correlations():

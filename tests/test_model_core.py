@@ -33,6 +33,7 @@ from ssgc import (
 from ssgc.model import PBH_TOL, STABILITY_MARGIN, require_stationary
 
 from support import (
+    BAD_MATRICES,
     bivariate_var,
     hrf_filtered_references,
     pbh_eigenvector,
@@ -72,6 +73,8 @@ def test_iss_shape_validation():
         ISSModel(a, np.ones((1, 3)), np.ones((2, 1)), np.eye(1))  # C cols != n
     with pytest.raises(ValueError):
         ISSModel(a, c, np.ones((2, 1)), np.array([[1.0, 0.3], [0.0, 1.0]]))  # V asym
+    with pytest.raises(ValueError, match="^V must be symmetric$"):  # not broadcast to 3 x 3
+        ISSModel(a, np.ones((3, 2)), np.ones((2, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError):
         ISSModel(a, c, np.ones((2, 1)), np.eye(1), partition=JointPartition(1, 1))
 
@@ -412,6 +415,13 @@ def test_var_to_iss_rejects_unstable_and_indefinite():
         var_to_iss([np.array([[1.01]])], np.eye(1))
     with pytest.raises(PreconditionError):
         var_to_iss([np.array([[0.5]])], np.array([[0.0]]))
+    for bad, message in BAD_MATRICES:
+        with pytest.raises(ValueError, match=rf"^coefficients\[1\] {message}"):
+            var_to_iss([np.eye(1) / 2, bad], np.eye(1))
+        with pytest.raises(ValueError, match=f"^sigma {message}"):
+            var_to_iss([np.eye(1) / 2], bad)
+    with pytest.raises(ValueError, match="^sigma must be symmetric$"):
+        var_to_iss([np.eye(2) / 2], np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_spectrum_is_hermitian_psd_curve():
@@ -522,6 +532,20 @@ def test_solve_lyapunov_needs_stable_a():
     for a, w in ((np.full((2, 3), 0.1), np.eye(2)), (np.eye(2) / 2, np.eye(3)), (np.array([0.5]), np.eye(1))):
         with pytest.raises(ValueError, match="a must be a square matrix and w of the same shape"):
             solve_lyapunov(a, w)
+
+
+def test_solve_lyapunov_reads_finite_matrices_by_name():
+    """After the shape check, NaN or inf in a or w is a named ValueError, not
+    an unnamed LinAlgError or a spent budget; a dict or a ragged list fails
+    the shape check."""
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+            solve_lyapunov(np.array([[bad]]), np.eye(1))
+        with pytest.raises(ValueError, match="^w contains non-finite entries$"):
+            solve_lyapunov(np.eye(1) / 2, np.array([[bad]]))
+    for a in ({"a": 0.5}, [[0.5], [0.5, 0.1]]):
+        with pytest.raises(ValueError, match="^a must be a square matrix and w of the same shape$"):
+            solve_lyapunov(a, np.eye(1))
 
 
 def test_frequency_response_identity_at_zero_gain():

@@ -22,6 +22,7 @@ from ssgc import (
     spectrum_of_iss,
     validate_iss,
 )
+from ssgc.model import _logdet_pd
 
 from support import (
     bivariate_var,
@@ -114,6 +115,14 @@ def test_log_det_integral_rejects_curves_that_are_not_positive_definite():
     assert log_det_spectrum_integral(SpectralCurve(grid, np.full(8, 2.0))) == pytest.approx(
         np.log(2.0), abs=1e-15
     )
+    # NaN and inf pass numpy's Cholesky: the curve rejects them, and so does the
+    # one log-det rule it would reach.
+    for bad in (np.nan, np.inf):
+        for values in (np.full(8, bad), np.full((8, 1, 1), bad)):
+            with pytest.raises(ValueError, match="^values contain non-finite entries$"):
+                log_det_spectrum_integral(SpectralCurve(grid, values))
+        with pytest.raises(PreconditionError, match="^f is not positive definite"):
+            _logdet_pd(np.full((8, 1, 1), bad), "f")
 
 
 def test_marginal_variance_never_below_joint():

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from support import feasible_designs
+from support import BAD_MATRICES, feasible_designs
 
 from ssgc import (
     InfeasibleDesignError,
     Var1Design,
+    Var1Model,
     design_var1,
     gem_time_domain,
     var1_fyx_closed_form,
@@ -98,6 +99,21 @@ def test_design_container_validation():
             with pytest.raises(ValueError):
                 Var1Design(0.5, 0.3, 0.1, 0.1, 0.0, **{field: bad})
     Var1Design(0.5, 0.3, 0.1, 0.1, 0.0, sign_gy=np.int64(-1), root_case=np.int64(2))  # numpy ints
+    # NaN passes xi < 0 and |lambda| >= 1, inf passes xi < 0: all are named
+    # here, not by a LinAlgError in design_var1.
+    base = dict(lambda1=0.5, lambda2=0.3, xi_x=0.1, xi_y=0.1, rho=0.0)
+    for xi in (np.nan, np.inf):
+        for field in ("xi_x", "xi_y"):
+            with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
+                Var1Design(**{**base, field: xi})
+    for lam in (np.nan, complex(0.5, np.nan)):
+        with pytest.raises(ValueError, match="strictly inside the unit circle"):
+            Var1Design(0.5, lam, 0.1, 0.1, 0.0)
+    for bad, message in BAD_MATRICES:
+        with pytest.raises(ValueError, match=f"^A {message}"):
+            Var1Model(bad, np.eye(2))
+        with pytest.raises(ValueError, match=f"^sigma {message}"):
+            Var1Model(np.eye(2) / 2, bad)
 
 
 def test_closed_form_direction_validated():
