@@ -49,5 +49,5 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     a_m = np.linalg.matrix_power(model.A, m)
     s_m = np.linalg.matrix_power(model.A, m - 1) @ kv
 
-    sol = solve_dare(SSModel(a_m, model.C, q, model.V, s_m))
-    return ISSModel(a_m, model.C, sol.K, sol.V, partition=model.partition)
+    sol = solve_dare(SSModel._build(a_m, model.C, q, model.V, s_m))
+    return ISSModel._build(a_m, model.C, sol.K, sol.V, partition=model.partition)

@@ -28,6 +28,7 @@ from .model import (
     ISSModel,
     JointPartition,
     _as_matrix,
+    _as_real,
     _check_grid,
     _check_symmetric,
     default_grid,
@@ -49,6 +50,15 @@ __all__ = [
 ]
 
 
+def _as_taps(value, name: str) -> np.ndarray:
+    """The one reader of FIR taps: a float copy of value with real, finite
+    entries, else ValueError naming `name`."""
+    taps = _as_real(value, name)
+    if not np.isfinite(taps).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return taps
+
+
 @dataclass(frozen=True, eq=False)
 class FirFilter:
     """Matrix FIR filter Phi(L) = sum_k taps[k] L^k, taps shape (q+1, p, p).
@@ -61,13 +71,11 @@ class FirFilter:
     partition: JointPartition | None = None
 
     def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=float)
+        taps = _as_taps(self.taps, "taps")
         if taps.ndim == 1:
             taps = taps[:, None, None]
         if taps.ndim != 3 or taps.shape[1] != taps.shape[2] or taps.shape[0] < 1:
             raise ValueError("taps must have shape (q + 1, p, p)")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps contain non-finite entries")
         if self.partition is not None:
             if self.partition.p != taps.shape[1]:
                 raise ValueError("partition does not match the filter dimension")
@@ -85,8 +93,7 @@ class FirFilter:
 
     @classmethod
     def scalar(cls, coeffs) -> "FirFilter":
-        c = np.asarray(coeffs, dtype=float).ravel()
-        return cls(c[:, None, None])
+        return cls(_as_taps(coeffs, "coeffs").reshape(-1, 1, 1))
 
     @classmethod
     def identity(cls, p: int) -> "FirFilter":
@@ -95,8 +102,8 @@ class FirFilter:
     @classmethod
     def block_scalar(cls, coeffs_x, coeffs_y, partition: JointPartition) -> "FirFilter":
         """Block-diagonal filter applying one scalar FIR filter per block."""
-        cx = np.asarray(coeffs_x, dtype=float).ravel()
-        cy = np.asarray(coeffs_y, dtype=float).ravel()
+        cx = _as_taps(coeffs_x, "coeffs_x").ravel()
+        cy = _as_taps(coeffs_y, "coeffs_y").ravel()
         q = max(len(cx), len(cy)) - 1
         taps = np.zeros((q + 1, partition.p, partition.p))
         for k in range(len(cx)):
@@ -227,7 +234,7 @@ def apply_fir_filter(joint: ISSModel, filt: FirFilter) -> ISSModel:
             "no stabilizing factorization of the filtered process found "
             f"(error spectral radius {rho:.6g}, residual {sol.residual:.3g})"
         )
-    return ISSModel(a, c, sol.K, sol.V, partition=joint.partition)
+    return ISSModel._build(a, c, sol.K, sol.V, partition=joint.partition)
 
 
 def min_phase_check(taps) -> MinPhaseResult:
@@ -238,9 +245,7 @@ def min_phase_check(taps) -> MinPhaseResult:
     Leading zero taps are trimmed first; the trimmed filter must have order
     at least one.
     """
-    c = np.asarray(taps, dtype=float).ravel()
-    if not np.all(np.isfinite(c)):
-        raise ValueError("taps contain non-finite entries")
+    c = _as_taps(taps, "taps").ravel()
     nonzero = np.flatnonzero(c)
     if len(nonzero) == 0:
         raise ValueError("all taps are zero")
@@ -296,7 +301,7 @@ def allpass_decompose(
         if sig.shape != (p, p):
             raise ValueError("sigma shape does not match the filter dimension")
         # White noise of covariance sigma (no state) passed through the filter.
-        source = ISSModel(np.zeros((0, 0)), np.zeros((p, 0)), np.zeros((0, p)), sig)
+        source = ISSModel._build(np.zeros((0, 0)), np.zeros((p, 0)), np.zeros((0, p)), sig)
         filt = filter_model
     else:
         raise TypeError("filter_model must be an ISSModel or a FirFilter")

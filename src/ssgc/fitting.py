@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import _as_matrix, _check_symmetric, _is_int
+from .model import _as_matrix, _as_real, _check_symmetric, _is_int
 
 __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 
@@ -26,10 +26,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = self.values
-        if np.ndim(values) == 1:  # one channel
-            values = np.reshape(values, (-1, 1))
-        vals = _as_matrix(values, "time series")
+        values = _as_real(self.values, "time series")
+        vals = _as_matrix(values[:, None] if values.ndim == 1 else values, "time series")
         if vals.shape[0] < 2:
             raise ValueError("time series must be a (steps, channels) array with steps >= 2")
         object.__setattr__(self, "values", vals)

@@ -55,13 +55,22 @@ __all__ = [
 ]
 
 
+def _as_real(value, name: str) -> np.ndarray:
+    """A float copy of value, else ValueError naming `name`: numpy cannot read
+    value as numbers (a dict, a ragged list, a string), or they are complex."""
+    try:
+        m = np.asarray(value)
+        if m.dtype.kind != "c":
+            return np.array(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric array") from exc
+    raise ValueError(f"{name} contains complex entries")
+
+
 def _as_matrix(value, name: str) -> np.ndarray:
     """The one reader of matrix arguments: a frozen 2-D float copy of value, whose
-    entries are finite, else ValueError naming `name`."""
-    try:
-        m = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # a dict, a ragged list, a string
-        raise ValueError(f"{name} is not a numeric array") from exc
+    entries are real and finite, else ValueError naming `name`."""
+    m = _as_real(value, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -319,8 +328,66 @@ class JointPartition:
         return (self.x, self.y) if d == "y->x" else (self.y, self.x)
 
 
+# Shape of each model matrix in the state dimension n (rows of A) and the
+# output dimension p (rows of C).
+_SHAPES = {"A": "nn", "C": "pn", "K": "np", "V": "pp", "Q": "nn", "R": "pp", "S": "np"}
+_COVARIANCES = ("V", "Q", "R")
+
+
+class _StateSpace:
+    """The reader, builder and dimensions that SSModel and ISSModel share.
+
+    Arguments are read once, where they enter the package: the public
+    constructor reads each matrix field with ``_as_matrix``, each covariance
+    (V, Q, R) also with ``_check_symmetric``, checks the shapes against
+    _SHAPES and the partition against p.  A model of arrays the package
+    computed is made by ``_build``, which reads nothing again.
+    """
+
+    def __post_init__(self) -> None:
+        fields = {}
+        for f in self._MATRICES:
+            m = _as_matrix(getattr(self, f), f)
+            fields[f] = _check_symmetric(m, f) if f in _COVARIANCES else m
+        dims = {"n": len(fields["A"]), "p": len(fields["C"])}
+        for f, m in fields.items():
+            shape = tuple(dims[d] for d in _SHAPES[f])
+            if m.shape != shape:
+                raise ValueError(f"{f} must have shape {shape}, got {m.shape}")
+            object.__setattr__(self, f, m)
+        if self.partition is not None and self.partition.p != dims["p"]:
+            raise ValueError("partition does not match the output dimension")
+
+    @classmethod
+    def _build(cls, *matrices: np.ndarray, partition: JointPartition | None = None):
+        """The model of arrays the package computed, in the constructor's order.
+
+        The arrays are frozen in place, not copied or read; the covariances
+        are symmetrized, and ValueError names one that is not finite (a
+        product such as K V K^T can overflow).
+        """
+        model = object.__new__(cls)
+        for f, m in zip(cls._MATRICES, matrices):
+            if f in _COVARIANCES:
+                m = 0.5 * (m + m.T)
+                if not np.isfinite(m).all():
+                    raise ValueError(f"{f} contains non-finite entries")
+            m.setflags(write=False)
+            object.__setattr__(model, f, m)
+        object.__setattr__(model, "partition", partition)
+        return model
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.C.shape[0]
+
+
 @dataclass(frozen=True, eq=False)
-class SSModel:
+class SSModel(_StateSpace):
     """State-space model with general process/measurement noise.
 
     x[t+1] = A x[t] + w[t],  z[t] = C x[t] + v[t], with joint noise covariance
@@ -333,37 +400,11 @@ class SSModel:
     R: np.ndarray
     S: np.ndarray
     partition: JointPartition | None = None
-
-    def __post_init__(self) -> None:
-        A = _as_matrix(self.A, "A")
-        C = _as_matrix(self.C, "C")
-        Q = _check_symmetric(_as_matrix(self.Q, "Q"), "Q")
-        R = _check_symmetric(_as_matrix(self.R, "R"), "R")
-        S = _as_matrix(self.S, "S")
-        n = A.shape[0]
-        p = C.shape[0]
-        if A.shape != (n, n):
-            raise ValueError("A must be square")
-        if C.shape[1] != n:
-            raise ValueError("C must have as many columns as A")
-        if Q.shape != (n, n) or R.shape != (p, p) or S.shape != (n, p):
-            raise ValueError("noise covariance shapes are inconsistent")
-        if self.partition is not None and self.partition.p != p:
-            raise ValueError("partition does not match the output dimension")
-        for f, v in zip(("A", "C", "Q", "R", "S"), (A, C, Q, R, S)):
-            object.__setattr__(self, f, v)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.C.shape[0]
+    _MATRICES = ("A", "C", "Q", "R", "S")  # the matrix fields, in constructor order
 
 
 @dataclass(frozen=True, eq=False)
-class ISSModel:
+class ISSModel(_StateSpace):
     """Innovations state-space model (A, C, K, V).
 
     x[t+1] = A x[t] + K e[t], z[t] = C x[t] + e[t], cov(e) = V.  The transfer
@@ -375,30 +416,7 @@ class ISSModel:
     K: np.ndarray
     V: np.ndarray
     partition: JointPartition | None = None
-
-    def __post_init__(self) -> None:
-        A = _as_matrix(self.A, "A")
-        C = _as_matrix(self.C, "C")
-        K = _as_matrix(self.K, "K")
-        V = _check_symmetric(_as_matrix(self.V, "V"), "V")
-        n = A.shape[0]
-        p = C.shape[0]
-        if A.shape != (n, n):
-            raise ValueError("A must be square")
-        if C.shape[1] != n or K.shape != (n, p) or V.shape != (p, p):
-            raise ValueError("model matrix shapes are inconsistent")
-        if self.partition is not None and self.partition.p != p:
-            raise ValueError("partition does not match the output dimension")
-        for f, v in zip(("A", "C", "K", "V"), (A, C, K, V)):
-            object.__setattr__(self, f, v)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.C.shape[0]
+    _MATRICES = ("A", "C", "K", "V")  # the matrix fields, in constructor order
 
     def require_partition(self) -> JointPartition:
         if self.partition is None:
@@ -442,7 +460,7 @@ class ISSModel:
     def as_ss(self) -> SSModel:
         """Equivalent general-noise form (A, C, [K V K^T, V, K V])."""
         kv = self.K @ self.V
-        return SSModel(self.A, self.C, kv @ self.K.T, self.V, kv, self.partition)
+        return SSModel._build(self.A, self.C, kv @ self.K.T, self.V, kv, partition=self.partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,8 +696,9 @@ def var_to_iss(
     Raises
     ------
     ValueError
-        If a lag or sigma is not a finite 2-D array (``_as_matrix``), the shapes
-        disagree, or sigma is not symmetric.
+        If a lag or sigma is not a real, finite 2-D array (``_as_matrix``), the
+        shapes disagree, sigma is not symmetric, or the partition does not
+        match the output dimension.
     PreconditionError
         If the companion matrix is unstable or sigma is not positive definite.
     """
@@ -692,11 +711,13 @@ def var_to_iss(
     sigma = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
     if sigma.shape != (p, p):
         raise ValueError("sigma shape does not match the coefficients")
+    if partition is not None and partition.p != p:
+        raise ValueError("partition does not match the output dimension")
     return _companion_iss(coeffs, sigma, partition)
 
 
 def _companion_iss(coeffs: list, sigma: np.ndarray, partition: JointPartition | None) -> ISSModel:
-    """``var_to_iss`` on lag matrices and a sigma already read and checked for shape."""
+    """``var_to_iss`` on lag matrices, a sigma and a partition already read and checked."""
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
@@ -710,7 +731,7 @@ def _companion_iss(coeffs: list, sigma: np.ndarray, partition: JointPartition | 
     rho = _radius_if_unstable(companion)
     if rho is not None:
         raise PreconditionError(f"VAR is unstable: companion spectral radius = {rho:.6g}")
-    return ISSModel(companion, c, np.eye(n, p), sigma, partition)
+    return ISSModel._build(companion, c, np.eye(n, p), sigma, partition=partition)
 
 
 def spectrum_of_iss(model: ISSModel, grid: np.ndarray | None = None) -> SpectralCurve:

@@ -152,9 +152,9 @@ def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
     u = slice(None) if known is None else ~known  # the states the solve keeps
     k_u = k[u]
     kv = k_u @ joint.V
-    sol = solve_dare(SSModel(a[u][:, u], c_sub[:, u], kv @ k_u.T, joint.V[idx, idx], kv[:, idx]))
+    sol = solve_dare(SSModel._build(a[u][:, u], c_sub[:, u], kv @ k_u.T, joint.V[idx, idx], kv[:, idx]))
     gain[u] = sol.K
-    return ISSModel(a, c_sub, gain, sol.V, partition=None)
+    return ISSModel._build(a, c_sub, gain, sol.V)
 
 
 def log_det_spectrum_integral(curve: SpectralCurve) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDesignError
-from .model import ISSModel, JointPartition, _as_matrix, _companion_iss, _is_int
+from .model import ISSModel, JointPartition, _as_matrix, _check_symmetric, _companion_iss, _is_int
 
 __all__ = ["Var1Design", "Var1Model", "design_var1", "var1_fyx_closed_form"]
 
@@ -57,14 +57,14 @@ class Var1Design:
 
 @dataclass(frozen=True, eq=False)
 class Var1Model:
-    """Designed coefficient matrix and innovation covariance."""
+    """Designed coefficient matrix and innovation covariance (read symmetric)."""
 
     A: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
         a = _as_matrix(self.A, "A")
-        s = _as_matrix(self.sigma, "sigma")
+        s = _check_symmetric(_as_matrix(self.sigma, "sigma"), "sigma")
         if a.shape != (2, 2) or s.shape != (2, 2):
             raise ValueError("Var1Model matrices must be 2x2")
         object.__setattr__(self, "A", a)

@@ -32,6 +32,7 @@ BAD_MATRICES = (
     ([[np.inf]], "contains non-finite entries"),
     ([1.0], "must be a 2-D array"),
     ({"a": 1.0}, "is not a numeric array"),
+    ([[1.0 + 1.0j]], "contains complex entries"),
 )
 
 

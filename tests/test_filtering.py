@@ -56,6 +56,17 @@ def test_fir_container_validation():
         FirFilter(taps, partition=JointPartition(1, 1))  # off-diagonal block
     with pytest.raises(ValueError):
         FirFilter(np.eye(2)[None], partition=JointPartition(1, 2))
+    # One taps reader names ragged, complex and non-finite taps at every entry.
+    ragged, complex_taps = [[[1.0]], [[0.5, 0.1]]], np.array([1.0, 0.5j])
+    for read, name in ((FirFilter, "taps"), (FirFilter.scalar, "coeffs"),
+                       (lambda c: FirFilter.block_scalar(c, [1.0], JointPartition(1, 1)), "coeffs_x"),
+                       (lambda c: FirFilter.block_scalar([1.0], c, JointPartition(1, 1)), "coeffs_y"),
+                       (min_phase_check, "taps")):
+        for bad, message in ((ragged, "is not a numeric array"),
+                             (complex_taps, "contains complex entries"),
+                             ([1.0, np.inf], "contains non-finite entries")):
+            with pytest.raises(ValueError, match=f"^{name} {message}$"):
+                read(bad)
 
 
 def test_fir_frequency_response():

@@ -25,6 +25,10 @@ def test_time_series_container():
         TimeSeries(np.ones((1, 2)))  # needs at least two steps
     with pytest.raises(ValueError):
         TimeSeries(np.array([[1.0], [np.nan]]))
+    for bad, message in (([[1.0, 2.0], [3.0]], "is not a numeric array"),
+                         ([1.0, 0.5j], "contains complex entries")):
+        with pytest.raises(ValueError, match=f"^time series {message}$"):
+            TimeSeries(bad)
 
 
 def test_time_series_is_detached_copy():

@@ -1,5 +1,6 @@
 """Model containers, structural validation and second-order statistics."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,13 +14,19 @@ import ssgc.model
 from ssgc import (
     AutocovarianceSequence,
     ConvergenceError,
+    FirFilter,
     ISSModel,
     JointPartition,
     PreconditionError,
     SpectralCurve,
     SSModel,
+    Var1Design,
+    apply_fir_filter,
     autocovariance_of_iss,
     default_grid,
+    design_var1,
+    downsample_iss,
+    extract_submodel,
     gem_frequency,
     gem_time_domain,
     pbh_test,
@@ -87,16 +94,33 @@ def test_ss_shape_validation():
 
 
 def test_nonfinite_entries_rejected():
-    a = np.array([[np.nan, 0.0], [0.0, 0.1]])
-    with pytest.raises(ValueError):
-        ISSModel(a, np.ones((1, 2)), np.ones((2, 1)), np.eye(1))
+    """Both constructors read every matrix field by the one matrix rule, named."""
+    eye = np.eye(1)
+    fields = {
+        ISSModel: dict(A=eye / 2, C=eye, K=eye, V=eye),
+        SSModel: dict(A=eye / 2, C=eye, Q=eye, R=eye, S=eye),
+    }
+    for cls, good in fields.items():
+        cls(**good)
+        for name in good:
+            for bad, message in BAD_MATRICES:
+                with pytest.raises(ValueError, match=f"^{name} {message}"):
+                    cls(**{**good, name: bad})
 
 
 def test_model_arrays_are_read_only():
+    """Models the package computes are frozen like those a caller builds."""
     rng = np.random.default_rng(0)
     mdl = random_iss(rng, n=3, px=1, py=1)
     with pytest.raises(ValueError):
         mdl.A[0, 0] = 99.0
+    var1 = design_var1(Var1Design(0.6, -0.2, 0.1, 0.1, 0.0, sign_gx=-1))
+    filt = FirFilter.block_scalar([1.0, 0.3], [1.0], mdl.partition)
+    computed = (mdl.as_ss(), extract_submodel(mdl, "x"), extract_submodel(mdl, "y"),
+                downsample_iss(mdl, 2), apply_fir_filter(mdl, filt), var1.to_iss())
+    for model in computed:
+        for field in dataclasses.fields(model)[:-1]:  # every matrix, not the partition
+            assert not getattr(model, field.name).flags.writeable, field.name
 
 
 def test_frozen_fields_are_copies_of_the_callers_arrays():
@@ -422,6 +446,50 @@ def test_var_to_iss_rejects_unstable_and_indefinite():
             var_to_iss([np.eye(1) / 2], bad)
     with pytest.raises(ValueError, match="^sigma must be symmetric$"):
         var_to_iss([np.eye(2) / 2], np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^partition does not match the output dimension$"):
+        var_to_iss([np.eye(2) / 2], np.eye(2), JointPartition(1, 2))
+
+
+def test_overflowing_noise_products_are_named():
+    """K V K^T overflows for K = 1e200: every entry that forms it names the
+    non-finite product instead of solving on it."""
+    mdl = ISSModel([[0.3, 0.1], [0.1, 0.3]], np.eye(2), np.full((2, 2), 1e200), np.eye(2),
+                   JointPartition(1, 1))
+    calls = (lambda: downsample_iss(mdl, 2), lambda: gem_time_domain(mdl), mdl.as_ss,
+             lambda: apply_fir_filter(mdl, FirFilter.identity(2)))
+    with np.errstate(over="ignore"):
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+
+def test_models_the_package_computes_are_not_read_again(monkeypatch):
+    """Arguments are read once, where they enter: no model the package builds
+    from its own arrays reads a model field through _as_matrix again."""
+    var1 = design_var1(Var1Design(0.6, -0.2, 0.1, 0.1, 0.2, sign_gx=-1))
+    joint = var1.to_iss()
+    filt = FirFilter.block_scalar([1.0, 0.3], [1.0], joint.partition)
+    reads = []
+    read = ssgc.model._as_matrix
+
+    def counted(value, name):
+        reads.append(name)
+        return read(value, name)
+
+    monkeypatch.setattr(ssgc.model, "_as_matrix", counted)
+    calls = {
+        "gem_time_domain": lambda: gem_time_domain(joint),
+        "downsample_iss": lambda: downsample_iss(joint, 3),
+        "apply_fir_filter": lambda: apply_fir_filter(joint, filt),
+        "as_ss": joint.as_ss,
+        "to_iss": var1.to_iss,
+    }
+    for label, call in calls.items():
+        reads.clear()
+        call()
+        assert [r for r in reads if r in {"A", "C", "K", "V", "Q", "R", "S"}] == [], label
+    ISSModel(joint.A, joint.C, joint.K, joint.V)  # the public constructor still reads
+    assert reads[-4:] == ["A", "C", "K", "V"]
 
 
 def test_spectrum_is_hermitian_psd_curve():

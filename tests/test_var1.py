@@ -114,6 +114,9 @@ def test_design_container_validation():
             Var1Model(bad, np.eye(2))
         with pytest.raises(ValueError, match=f"^sigma {message}"):
             Var1Model(np.eye(2) / 2, bad)
+    # Named where sigma enters, not later as the V of to_iss.
+    with pytest.raises(ValueError, match="^sigma must be symmetric$"):
+        Var1Model(np.eye(2) / 2, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_closed_form_direction_validated():
