@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import json
 import sys
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleDesignError, PreconditionError
 from .filtering import FirFilter, apply_fir_filter, hrf_glover, min_phase_check
 from .fitting import TimeSeries, fit_var_ols
-from .gem import gem_frequency, gem_time_domain
+from .gem import GemSummary, gem_frequency, gem_time_domain
 from .model import (
     DEFAULT_GRID_SIZE,
     ISSModel,
@@ -54,19 +55,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value: float, digits: int) -> str:
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0
-    return "%.*g" % (digits, v)
-
-
 def _cell(value, digits: int) -> str:
     if isinstance(value, str):
         return value
     if _is_int(value):
         return str(int(value))
-    return _fmt(value, digits)
+    v = float(value)
+    if v == 0.0:
+        v = 0.0  # normalize -0
+    return "%.*g" % (digits, v)
 
 
 def _print_table(headers, rows, digits: int) -> None:
@@ -78,7 +75,7 @@ def _print_table(headers, rows, digits: int) -> None:
 
 
 def _print_matrix(title: str, mat, digits: int) -> None:
-    body = [[_fmt(v, digits) for v in row] for row in mat]
+    body = [[_cell(v, digits) for v in row] for row in mat]
     widths = [max(len(r[j]) for r in body) for j in range(len(body[0]))]
     print(f"{title}:")
     for row in body:
@@ -91,6 +88,15 @@ def _write_csv(path: str, headers, rows, digits: int) -> None:
         writer.writerow(headers)
         for row in rows:
             writer.writerow([_cell(c, digits) for c in row])
+
+
+def _emit(args, headers, rows, *footer: str) -> None:
+    """Print the table and any footer lines, then write the rows to --csv when given."""
+    _print_table(headers, rows, args.digits)
+    for line in footer:
+        print(line)
+    if args.csv:
+        _write_csv(args.csv, headers, rows, args.digits)
 
 
 def _doc_matrix(doc: dict, key: str) -> np.ndarray:
@@ -128,37 +134,28 @@ def _load_model(path: str) -> ISSModel:
     raise ValueError(f'{path}: "type" must be "iss" or "var"')
 
 
-def _dump_iss(model: ISSModel, path: str) -> None:
-    doc = {
-        "type": "iss",
-        "A": model.A.tolist(),
-        "C": model.C.tolist(),
-        "K": model.K.tolist(),
-        "V": model.V.tolist(),
-    }
-    if model.partition is not None:
-        doc["px"] = model.partition.px
-    _dump_doc(doc, path)
-
-
-def _dump_doc(doc: dict, path: str) -> None:
+def _dump_model(path: str, kind: str, px: int | None, **matrices) -> None:
+    """Write the model document ``_load_model`` reads: its "type", each matrix
+    (or list of matrices) as nested lists, and "px" only when it is given."""
+    doc = {"type": kind, **{key: np.asarray(m).tolist() for key, m in matrices.items()}}
+    if px is not None:
+        doc["px"] = px
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _int_list(text: str):
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _list_of(kind, noun: str):
+    """An argparse type reading comma-separated values with `kind`; empty parts are skipped."""
 
+    def parse(text: str):
+        try:
+            return [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            message = f"expected comma-separated {noun}, got {text!r}"
+            raise argparse.ArgumentTypeError(message) from exc
 
-def _float_list(text: str):
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+    return parse
 
 
 def _read_series(path: str) -> tuple[list[str], list[list[float]]]:
@@ -190,11 +187,7 @@ def _read_series(path: str) -> tuple[list[str], list[list[float]]]:
     return header, data
 
 
-def _gem_rows(summary) -> list:
-    return [[summary.fyx, summary.fxy, summary.fydx, summary.fxoy]]
-
-
-_GEM_HEADERS = ["fyx", "fxy", "fydx", "fxoy"]
+_GEM_HEADERS = [field.name for field in dataclasses.fields(GemSummary)]
 
 
 def _cmd_validate(args) -> int:
@@ -209,9 +202,7 @@ def _cmd_gem(args) -> int:
     grid = default_grid(args.grid)
     model = _load_model(args.model)
     summary = gem_time_domain(model)
-    _print_table(_GEM_HEADERS, _gem_rows(summary), args.digits)
-    if args.csv:
-        _write_csv(args.csv, _GEM_HEADERS, _gem_rows(summary), args.digits)
+    _emit(args, _GEM_HEADERS, [dataclasses.astuple(summary)])
     if args.freq_curve:
         yx = gem_frequency(model, grid, direction="y->x")
         xy = gem_frequency(model, grid, direction="x->y")
@@ -223,10 +214,8 @@ def _cmd_gem(args) -> int:
 def _cmd_sweep(args) -> int:
     model = _load_model(args.model)
     result = run_scenario_sweep(model, args.factors)
-    rows = [[row.factor, *_gem_rows(row.measures)[0]] for row in result.rows]
-    _print_table(["m", *_GEM_HEADERS], rows, args.digits)
-    if args.csv:
-        _write_csv(args.csv, ["m", *_GEM_HEADERS], rows, args.digits)
+    rows = [[row.factor, *dataclasses.astuple(row.measures)] for row in result.rows]
+    _emit(args, ["m", *_GEM_HEADERS], rows)
     return 0
 
 
@@ -246,13 +235,10 @@ def _cmd_design(args) -> int:
     model = design_var1(design)
     _print_matrix("A", model.A, args.digits)
     _print_matrix("sigma", model.sigma, args.digits)
-    print(f"closed-form fyx  {_fmt(var1_fyx_closed_form(model, 'y->x'), args.digits)}")
-    print(f"closed-form fxy  {_fmt(var1_fyx_closed_form(model, 'x->y'), args.digits)}")
+    print(f"closed-form fyx  {_cell(var1_fyx_closed_form(model, 'y->x'), args.digits)}")
+    print(f"closed-form fxy  {_cell(var1_fyx_closed_form(model, 'x->y'), args.digits)}")
     if args.output:
-        _dump_doc(
-            {"type": "var", "coeffs": [model.A.tolist()], "sigma": model.sigma.tolist(), "px": 1},
-            args.output,
-        )
+        _dump_model(args.output, "var", 1, coeffs=[model.A], sigma=model.sigma)
     return 0
 
 
@@ -271,6 +257,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    if args.taps is not None and (args.taps_x is not None or args.taps_y is not None):
+        raise ValueError("--taps cannot be combined with --taps-x/--taps-y")
+    if args.taps is None and args.taps_x is None and args.taps_y is None:
+        raise ValueError("filter needs --taps or --taps-x/--taps-y")
     model = _load_model(args.model)
     if args.taps is not None:
         coeffs = {"all channels": args.taps}
@@ -287,10 +277,12 @@ def _cmd_filter(args) -> int:
         phase = "minimum phase" if verdict is None or verdict.is_min_phase else "not minimum phase"
         print(f"{label}: {phase}")
     filtered = apply_fir_filter(model, filt)
-    if filtered.partition is not None:
-        _print_table(_GEM_HEADERS, _gem_rows(gem_time_domain(filtered)), args.digits)
+    part = filtered.partition
+    if part is not None:
+        _print_table(_GEM_HEADERS, [dataclasses.astuple(gem_time_domain(filtered))], args.digits)
     if args.output:
-        _dump_iss(filtered, args.output)
+        _dump_model(args.output, "iss", None if part is None else part.px,
+                    A=filtered.A, C=filtered.C, K=filtered.K, V=filtered.V)
     return 0
 
 
@@ -299,10 +291,9 @@ def _cmd_hrf(args) -> int:
     verdict = min_phase_check(taps)
     largest = float(np.abs(verdict.zeros).max()) if len(verdict.zeros) else 0.0
     rows = [[k, k * args.tr, h] for k, h in enumerate(taps, start=1)]
-    _print_table(["k", "t", "h"], rows, args.digits)
-    print(f"minimum phase: {'yes' if verdict.is_min_phase else 'no'} (largest zero modulus {_fmt(largest, args.digits)})")
-    if args.csv:
-        _write_csv(args.csv, ["k", "t", "h"], rows, args.digits)
+    phase = "yes" if verdict.is_min_phase else "no"
+    _emit(args, ["k", "t", "h"], rows,
+          f"minimum phase: {phase} (largest zero modulus {_cell(largest, args.digits)})")
     return 0
 
 
@@ -316,12 +307,9 @@ def _cmd_fit(args) -> int:
         _print_matrix(f"A{k}", a, args.digits)
     _print_matrix("sigma", sigma, args.digits)
     if args.output:
-        doc = {"type": "var", "coeffs": [a.tolist() for a in coefficients], "sigma": sigma.tolist()}
-        if args.px is not None:
-            if not 1 <= args.px < series.channels:
-                raise ValueError(f"--px must be in [1, {series.channels - 1}] for this data")
-            doc["px"] = args.px
-        _dump_doc(doc, args.output)
+        if args.px is not None and not 1 <= args.px < series.channels:
+            raise ValueError(f"--px must be in [1, {series.channels - 1}] for this data")
+        _dump_model(args.output, "var", args.px, coeffs=coefficients, sigma=sigma)
     return 0
 
 
@@ -348,7 +336,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", parents=[common],
                        help="measures of the model downsampled by each factor")
     p.add_argument("model", help="JSON model file with a partition")
-    p.add_argument("--factors", type=_int_list, required=True, metavar="M1,M2,...",
+    p.add_argument("--factors", type=_list_of(int, "integers"), required=True, metavar="M1,M2,...",
                    help="strictly increasing downsampling factors, e.g. 1,2,3,10")
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
     p.set_defaults(handler=_cmd_sweep)
@@ -379,11 +367,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("filter", parents=[common], help="apply a causal FIR filter to a model")
     p.add_argument("model", help="JSON model file")
-    p.add_argument("--taps", type=_float_list, metavar="C0,C1,...",
+    p.add_argument("--taps", type=_list_of(float, "numbers"), metavar="C0,C1,...",
                    help="scalar taps applied to every channel")
-    p.add_argument("--taps-x", type=_float_list, metavar="C0,C1,...",
+    p.add_argument("--taps-x", type=_list_of(float, "numbers"), metavar="C0,C1,...",
                    help="scalar taps for the x block (needs a partition)")
-    p.add_argument("--taps-y", type=_float_list, metavar="C0,C1,...",
+    p.add_argument("--taps-y", type=_list_of(float, "numbers"), metavar="C0,C1,...",
                    help="scalar taps for the y block (needs a partition)")
     p.add_argument("--output", metavar="PATH", help="write the filtered model as JSON")
     p.set_defaults(handler=_cmd_filter)
@@ -410,14 +398,6 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "filter" and args.taps is not None and (
-        args.taps_x is not None or args.taps_y is not None
-    ):
-        print("error: --taps cannot be combined with --taps-x/--taps-y", file=sys.stderr)
-        return 1
-    if args.command == "filter" and args.taps is None and args.taps_x is None and args.taps_y is None:
-        print("error: filter needs --taps or --taps-x/--taps-y", file=sys.stderr)
-        return 1
     try:
         return args.handler(args)
     except (PreconditionError, ConvergenceError, InfeasibleDesignError) as exc:

@@ -190,26 +190,15 @@ def apply_fir_filter(joint: ISSModel, filt: FirFilter) -> ISSModel:
     require_stationary(joint)
     if filt.p != joint.p:
         raise ValueError("filter dimension does not match the model output dimension")
-    n, p, q = joint.n, joint.p, filt.q
-    naug = n + q * p
+    n, p, qp = joint.n, joint.p, filt.q * joint.p
 
-    a = np.zeros((naug, naug))
-    a[:n, :n] = joint.A
-    if q >= 1:
-        a[n : n + p, :n] = joint.C
-        for k in range(1, q):
-            a[n + k * p : n + (k + 1) * p, n + (k - 1) * p : n + k * p] = np.eye(p)
-
-    g = np.zeros((naug, p))
-    g[:n, :] = joint.K
-    if q >= 1:
-        g[n : n + p, :] = np.eye(p)
-
+    # The state block, then a register of the last q outputs: C feeds its
+    # first block and each block shifts down one (no register when q = 0).
+    feed = np.vstack((joint.C, np.zeros((qp, n))))[:qp]
+    a = np.block([[joint.A, np.zeros((n, qp))], [feed, np.eye(qp, k=-p)]])
+    g = np.vstack((joint.K, np.eye(qp, p)))
     phi0 = filt.taps[0]
-    c = np.empty((p, naug))
-    c[:, :n] = phi0 @ joint.C
-    for k in range(1, q + 1):
-        c[:, n + (k - 1) * p : n + k * p] = filt.taps[k]
+    c = np.hstack((phi0 @ joint.C, *filt.taps[1:]))
 
     gv = g @ joint.V
     q_mat = gv @ g.T

@@ -27,6 +27,8 @@ STABILITY_MARGIN = 1e-12
 # Scale-aware threshold of the PBH tests (orthogonality, staircase deflation).
 PBH_TOL = 1e-9
 LYAPUNOV_TOL = 1e-13
+# Relative asymmetry a covariance argument may carry before it is rejected.
+SYMMETRY_TOL = 1e-8
 # Step budget of the one doubling loop: 64 steps cover 2^63 terms of the plain recursion.
 _MAX_DOUBLINGS = 64
 DEFAULT_GRID_SIZE = 4096
@@ -79,10 +81,10 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return m
 
 
-def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
+def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     # A non-square m is not symmetric; m - m.T would broadcast a (1, p) row to (p, p).
-    if m.shape != m.T.shape or np.abs(m - m.T).max(initial=0.0) > tol * scale:
+    if m.shape != m.T.shape or np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise ValueError(f"{name} must be symmetric")
     sym = 0.5 * (m + m.T)
     sym.setflags(write=False)
@@ -279,7 +281,8 @@ def _transfer_dense(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarra
         try:
             x = np.linalg.solve(m, np.broadcast_to(k, (len(z), *k.shape)))
         except np.linalg.LinAlgError as exc:  # unreachable for stable A
-            raise RuntimeError("internal error: resolvent singular on the unit circle") from exc
+            message = "pole on the grid: e^{j lambda} is an eigenvalue of A"
+            raise PreconditionError(message) from exc
         h[start : start + chunk] = c @ x
     return h
 
@@ -448,7 +451,9 @@ class ISSModel(_StateSpace):
         DENSE_CHUNK_BYTES of complex (n, n) matrices (one point at a time once
         a single matrix is larger).  The grid must pass the checks every
         spectral curve's grid passes (1-D, not empty, finite, strictly
-        increasing, within one period), else ValueError.
+        increasing, within one period), else ValueError.  A model with a pole
+        on the grid (e^{j lambda} an eigenvalue of A at a grid frequency
+        lambda) raises PreconditionError.
         """
         grid = _check_grid(grid)
         h = _transfer_uniform(self.A, self.C, self.K, grid)

@@ -216,6 +216,18 @@ def test_design_conjugate_pair_accepted(capsys):
     assert "A:" in capsys.readouterr().out
 
 
+def test_design_repeated_eigenvalue(capsys):
+    """A repeated eigenvalue with nonzero coupling gives a defective A; it is designed."""
+    code = main([
+        "design", "--lambda1", "0.5", "0", "--lambda2", "0.5", "0",
+        "--xi-x", "1", "--xi-y", "1", "--sign-gy", "-1",
+    ])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert "closed-form fyx" in out
+    assert err == ""
+
+
 def test_design_infeasible_exits_2(capsys):
     code = main([
         "design", "--lambda1", "0.5", "0", "--lambda2", "0.3", "0",
@@ -260,6 +272,16 @@ def test_filter_block_taps_preserve_measures(model_file, capsys):
     assert out.splitlines()[-1] == before
 
 
+def test_filter_scalar_taps_on_every_channel(model_file, capsys):
+    assert main(["gem", model_file]) == 0
+    before = capsys.readouterr().out.splitlines()
+    assert main(["filter", model_file, "--taps", "1,0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "all channels: minimum phase"
+    # one minimum-phase filter on both blocks keeps the measures
+    assert out[1:] == before
+
+
 def test_filter_flag_conflicts(model_file, capsys):
     assert main(["filter", model_file, "--taps", "1,2", "--taps-x", "1"]) == 1
     assert main(["filter", model_file]) == 1
@@ -282,6 +304,65 @@ def test_hrf_table_and_phase_line(capsys):
     assert lines[0].split() == ["k", "t", "h"]
     assert len(lines) == 12  # 10 taps + header + verdict
     assert lines[-1].startswith("minimum phase:")
+
+
+def _printed_rows(lines):
+    return [line.split() for line in lines]
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def test_sweep_and_hrf_csv_hold_the_printed_rows(var_file, tmp_path, capsys):
+    sweep_csv, hrf_csv = tmp_path / "sweep.csv", tmp_path / "hrf.csv"
+    assert main(["sweep", var_file, "--factors", "1,2,5", "--csv", str(sweep_csv)]) == 0
+    assert _csv_rows(sweep_csv) == _printed_rows(capsys.readouterr().out.splitlines())
+    assert main(["hrf", "--tr", "2", "--duration", "12", "--csv", str(hrf_csv)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1].startswith("minimum phase:")
+    assert _csv_rows(hrf_csv) == _printed_rows(printed[:-1])
+    assert len(_csv_rows(hrf_csv)) == 7  # header and 6 taps
+
+
+def test_model_documents_hold_type_matrices_and_partition(model_file, tmp_path, capsys):
+    """--output writes "type", the matrices, and "px" only for a partitioned model."""
+    rng = np.random.default_rng(94)
+    data = tmp_path / "s.csv"
+    rows = rng.standard_normal((60, 2))
+    data.write_text("x,y\n" + "\n".join(f"{r[0]:.6g},{r[1]:.6g}" for r in rows) + "\n")
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({
+        "type": "iss", "A": [[0.5]], "C": [[1.0], [0.0]],
+        "K": [[0.2, 0.1]], "V": [[1.0, 0.0], [0.0, 1.0]],
+    }))
+    var_keys, iss_keys = {"type", "coeffs", "sigma"}, {"type", "A", "C", "K", "V"}
+    runs = [
+        (["design", "--lambda1", "0.5", "0", "--lambda2", "0.3", "0",
+          "--xi-x", "0.4", "--xi-y", "0.2", "--sign-gx", "-1"], var_keys | {"px"}),
+        (["fit", str(data), "--order", "1"], var_keys),
+        (["fit", str(data), "--order", "2", "--px", "1"], var_keys | {"px"}),
+        (["filter", model_file, "--taps-x", "1,0.4"], iss_keys | {"px"}),
+        (["filter", str(flat), "--taps", "1,0.4"], iss_keys),
+    ]
+    for i, (args, keys) in enumerate(runs):
+        out_path = tmp_path / f"doc{i}.json"
+        assert main([*args, "--output", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert set(doc) == keys
+        assert doc.get("px", 1) == 1
+        assert main(["validate", str(out_path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "gem", "sweep", "design", "spectrum", "filter", "hrf", "fit"]
+)
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ssgc {command}")
 
 
 def test_hrf_non_finite_argument_exits_1(capsys):

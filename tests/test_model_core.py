@@ -636,6 +636,10 @@ def test_frequency_response_checks_its_grid():
             mdl.frequency_response(grid)
     want = transfer_function_pointwise(mdl, np.array([0.3]))
     assert _relative_error(mdl.frequency_response([0.3]), want) < 1e-12
+    # a pole on the grid is the caller's model, not an internal error
+    pole = ISSModel([[1.0]], [[1.0]], [[0.5]], [[1.0]])
+    with pytest.raises(PreconditionError, match="eigenvalue of A"):
+        pole.frequency_response([-1.0, 0.0, 1.0])
 
 
 def _relative_error(got, want):

@@ -22,6 +22,18 @@ def test_designed_matrix_has_requested_eigenvalues():
         want = sorted([design.lambda1, design.lambda2], key=lambda z: (z.real, z.imag))
         assert np.allclose(eigs, want, atol=1e-10)
         assert np.allclose(model.sigma, [[1.0, design.rho], [design.rho, 1.0]])
+    # A repeated eigenvalue with nonzero coupling makes A defective, and eigvals
+    # of a defective 2x2 is accurate only to about sqrt(eps): check the trace
+    # and determinant instead, and the measures against the closed form.
+    for lam in (0.5, 0.9, -0.7):
+        for xi in (0.01, 0.3, 1.0):
+            for signs in ((1, -1), (-1, 1)):
+                model = design_var1(Var1Design(lam, lam, xi, xi, 0.0, *signs))
+                assert np.trace(model.A) == pytest.approx(2 * lam, abs=1e-15)
+                assert np.linalg.det(model.A) == pytest.approx(lam * lam, abs=1e-15)
+                g = gem_time_domain(model.to_iss())
+                assert var1_fyx_closed_form(model) == pytest.approx(g.fyx, abs=1e-12)
+                assert var1_fyx_closed_form(model, "x->y") == pytest.approx(g.fxy, abs=1e-12)
 
 
 def test_closed_form_matches_model_pipeline():
