@@ -273,8 +273,7 @@ def _cmd_filter(args) -> int:
         coeffs = {"x block": tx, "y block": ty}
         filt = FirFilter.block_scalar(tx, ty, partition)
     for label, c in coeffs.items():
-        verdict = min_phase_check(c) if len(c) > 1 else None
-        phase = "minimum phase" if verdict is None or verdict.is_min_phase else "not minimum phase"
+        phase = "minimum phase" if min_phase_check(c).is_min_phase else "not minimum phase"
         print(f"{label}: {phase}")
     filtered = apply_fir_filter(model, filt)
     part = filtered.partition
@@ -300,6 +299,8 @@ def _cmd_hrf(args) -> int:
 def _cmd_fit(args) -> int:
     header, data = _read_series(args.data)
     series = TimeSeries(data)
+    if args.px is not None and not 1 <= args.px < series.channels:
+        raise ValueError(f"--px must be in [1, {series.channels - 1}] for this data")
     coefficients, sigma = fit_var_ols(series, args.order)
     print(f"fitted VAR({args.order}) on {series.steps} steps of {series.channels} channels "
           f"({', '.join(header)})")
@@ -307,8 +308,6 @@ def _cmd_fit(args) -> int:
         _print_matrix(f"A{k}", a, args.digits)
     _print_matrix("sigma", sigma, args.digits)
     if args.output:
-        if args.px is not None and not 1 <= args.px < series.channels:
-            raise ValueError(f"--px must be in [1, {series.channels - 1}] for this data")
         _dump_model(args.output, "var", args.px, coeffs=coefficients, sigma=sigma)
     return 0
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PreconditionError", "ConvergenceError", "InfeasibleDesignError"]
+
 
 class PreconditionError(ValueError):
     """A model or argument violates a documented precondition.

@@ -31,6 +31,7 @@ from .model import (
     _as_real,
     _check_grid,
     _check_symmetric,
+    _cholesky,
     default_grid,
     require_stationary,
     solve_lyapunov,
@@ -231,16 +232,12 @@ def min_phase_check(taps) -> MinPhaseResult:
 
     The zeros are the roots of sum_k c_k z^{q-k} (companion-matrix
     eigenvalues); minimum phase means every root satisfies |z| < 1 - 1e-9.
-    Leading zero taps are trimmed first; the trimmed filter must have order
-    at least one.
+    Leading zero taps are dropped, so a filter with one nonzero tap has no
+    zeros and is minimum phase.  All-zero taps raise ValueError.
     """
     c = _as_taps(taps, "taps").ravel()
-    nonzero = np.flatnonzero(c)
-    if len(nonzero) == 0:
+    if not c.any():
         raise ValueError("all taps are zero")
-    c = c[nonzero[0] :]
-    if len(c) < 2:
-        raise ValueError("filter order must be at least 1 after trimming leading zeros")
     zeros = np.roots(c)
     return MinPhaseResult(zeros, bool(np.all(np.abs(zeros) < 1.0 - MIN_PHASE_MARGIN)))
 
@@ -260,7 +257,8 @@ def allpass_decompose(
         non-minimum-phase parameterizations are accepted).  A FirFilter is
         read as G(L) = sum_k taps[k] L^k driven by noise of covariance
         ``sigma`` (identity when omitted; ValueError unless a finite symmetric
-        (p, p) array, read by ``_as_matrix``).
+        (p, p) array, read by ``_as_matrix``, and PreconditionError unless it
+        is positive definite).
     grid : ndarray, optional
         Evaluation grid for the all-pass factor; defaults to 4096 uniform
         points on [-pi, pi).  It must be 1-D, finite, strictly increasing and
@@ -274,6 +272,8 @@ def allpass_decompose(
 
     Raises
     ------
+    PreconditionError
+        If ``sigma`` is not positive definite.
     ConvergenceError
         As ``apply_fir_filter``, when the spectrum has no full-rank
         minimum-phase factor.
@@ -289,6 +289,7 @@ def allpass_decompose(
         sig = np.eye(p) if sigma is None else _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
         if sig.shape != (p, p):
             raise ValueError("sigma shape does not match the filter dimension")
+        _cholesky(sig, "sigma must be positive definite")
         # White noise of covariance sigma (no state) passed through the filter.
         source = ISSModel._build(np.zeros((0, 0)), np.zeros((p, 0)), np.zeros((0, p)), sig)
         filt = filter_model

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import _as_matrix, _as_real, _check_symmetric, _is_int
+from .model import _as_matrix, _as_real, _check_symmetric, _cholesky, _is_int
 
 __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 
@@ -87,10 +87,7 @@ def simulate_var(coefficients, sigma, steps: int, rng: np.random.Generator, burn
         raise ValueError("coefficient and covariance matrices must share one square shape")
     if not (_is_int(steps) and _is_int(burn_in)) or steps < 1 or burn_in < 0:
         raise ValueError("steps must be a positive integer and burn_in a nonnegative integer")
-    try:
-        noise_factor = np.linalg.cholesky(sig)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("innovation covariance must be positive definite") from exc
+    noise_factor = _cholesky(sig, "innovation covariance must be positive definite")
 
     order = len(coeffs)
     total = steps + burn_in

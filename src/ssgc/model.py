@@ -175,6 +175,14 @@ def _logdet_pd(mat: np.ndarray, what: str):
     return float(logdet) if logdet.ndim == 0 else logdet
 
 
+def _cholesky(mat: np.ndarray, message: str) -> np.ndarray:
+    """Cholesky factor of a positive definite mat, else PreconditionError(message)."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(message) from exc
+
+
 def _grid_tol(grid: np.ndarray) -> float:
     """Rounding tolerance on frequencies of the magnitude found in grid."""
     return 16.0 * np.finfo(float).eps * max(2.0 * np.pi, float(np.abs(grid).max(initial=0.0)))
@@ -637,12 +645,11 @@ def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
     return PbhResult(False, worst, margin)
 
 
-def validate_iss(model: ISSModel, require_stationary: bool = True) -> ValidationReport:
+def validate_iss(model: ISSModel) -> ValidationReport:
     """Structural validity report for an ISS model.
 
     Checks V positive definite, stability of A - K C (minimum phase),
-    detectability of (A, C), controllability of (A, K), and stability of A
-    when ``require_stationary``.
+    detectability of (A, C), controllability of (A, K), and stability of A.
     """
     checks: list[Check] = []
 
@@ -658,9 +665,8 @@ def validate_iss(model: ISSModel, require_stationary: bool = True) -> Validation
     ctr = pbh_test(model.A, model.K, "controllable")
     checks.append(Check("(A, K) controllable", ctr.passed, ctr.margin))
 
-    if require_stationary:
-        rho_a = spectral_radius(model.A)
-        checks.append(Check("A stable", rho_a < 1.0 - STABILITY_MARGIN, rho_a))
+    rho_a = spectral_radius(model.A)
+    checks.append(Check("A stable", rho_a < 1.0 - STABILITY_MARGIN, rho_a))
 
     return ValidationReport(tuple(checks))
 
@@ -723,11 +729,7 @@ def var_to_iss(
 
 def _companion_iss(coeffs: list, sigma: np.ndarray, partition: JointPartition | None) -> ISSModel:
     """``var_to_iss`` on lag matrices, a sigma and a partition already read and checked."""
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("sigma must be positive definite") from exc
-
+    _cholesky(sigma, "sigma must be positive definite")
     p = len(sigma)
     n = len(coeffs) * p
     c = np.hstack(coeffs)

@@ -125,29 +125,22 @@ def design_var1(design: Var1Design) -> Var1Model:
     return Var1Model(a, sigma)
 
 
-def _arma_reduction(gamma_this: float, phi_other: float, rho: float):
-    """Innovation variance ratio and MA coefficient of one block's ARMA reduction.
-
-    Eliminating the other variable leaves det(I - AL) x[t] = u[t] with u an
-    MA(1) whose lag-0/lag-1 covariances are 1 + xi + d^2 and -d.  Only the MA
-    side enters the variance ratio, so phi of the block itself drops out.
-    """
-    d = phi_other - rho * gamma_this
-    xi = (1.0 - rho * rho) * gamma_this * gamma_this
-    g0 = 1.0 + xi + d * d
-    ratio = 0.5 * (g0 + math.sqrt(g0 * g0 - 4.0 * d * d))
-    theta = -d / ratio
-    return ratio, theta
-
-
 def var1_fyx_closed_form(model: Var1Model, direction: str = "y->x") -> float:
     """Closed-form dynamic measure of a designed bivariate VAR(1).
 
     For direction "y->x" returns ln of the ratio between the innovation
     variance of x's own ARMA(1,1) reduction and the joint innovation variance;
     the value is bounded below by ln(1 + xi_x).  "x->y" swaps the roles.
+
+    Eliminating the source variable leaves det(I - AL) x[t] = u[t] with u an
+    MA(1) whose lag-0/lag-1 covariances are g0 = 1 + xi + d^2 and -d; the
+    ratio is the innovation variance of that MA(1), so the target's own phi
+    drops out.
     """
     target, source = JointPartition(1, 1).direction(direction)
     rho = float(model.sigma[0, 1])
-    ratio, _ = _arma_reduction(model.A[target, source].item(), model.A[source, source].item(), rho)
-    return math.log(ratio)
+    gamma = model.A[target, source].item()
+    d = model.A[source, source].item() - rho * gamma
+    xi = (1.0 - rho * rho) * gamma * gamma
+    g0 = 1.0 + xi + d * d
+    return math.log(0.5 * (g0 + math.sqrt(g0 * g0 - 4.0 * d * d)))

@@ -314,6 +314,17 @@ def _csv_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
+def test_one_tap_filters_are_minimum_phase(model_file, capsys):
+    """A filter with one nonzero tap has no zeros, so both commands call it
+    minimum phase."""
+    assert main(["hrf", "--duration", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3  # header, one tap, verdict
+    assert lines[-1] == "minimum phase: yes (largest zero modulus 0)"
+    assert main(["filter", model_file, "--taps", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "all channels: minimum phase"
+
+
 def test_sweep_and_hrf_csv_hold_the_printed_rows(var_file, tmp_path, capsys):
     sweep_csv, hrf_csv = tmp_path / "sweep.csv", tmp_path / "hrf.csv"
     assert main(["sweep", var_file, "--factors", "1,2,5", "--csv", str(sweep_csv)]) == 0
@@ -404,9 +415,12 @@ def test_fit_px_bounds_checked(tmp_path, capsys):
     data = tmp_path / "s.csv"
     rows = rng.standard_normal((50, 2))
     data.write_text("x,y\n" + "\n".join(f"{r[0]:.6g},{r[1]:.6g}" for r in rows) + "\n")
-    assert main(["fit", str(data), "--order", "1", "--px", "2",
-                 "--output", str(tmp_path / "o.json")]) == 1
-    assert "--px" in capsys.readouterr().err
+    # checked before the fit, whether or not the model is written
+    for flags in (["--px", "2", "--output", str(tmp_path / "o.json")], ["--px", "9"]):
+        assert main(["fit", str(data), "--order", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--px must be in [1, 1] for this data" in captured.err
 
 
 def test_short_record_is_a_data_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from ssgc import (
     FirFilter,
     ISSModel,
     JointPartition,
+    PreconditionError,
     allpass_decompose,
     apply_fir_filter,
     default_grid,
@@ -96,10 +97,13 @@ def test_min_phase_check_trims_leading_zeros():
 
 
 def test_min_phase_check_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all taps are zero"):
         min_phase_check([0.0, 0.0])
-    with pytest.raises(ValueError):
-        min_phase_check([1.0])
+    # one nonzero tap: no zeros, so minimum phase
+    for taps in ([1.0], [0.0, -2.5]):
+        res = min_phase_check(taps)
+        assert res.is_min_phase
+        assert res.zeros.shape == (0,)
 
 
 def test_filtered_spectrum_is_phi_f_phi_star():
@@ -290,8 +294,16 @@ def test_allpass_split_with_singular_sigma_fails():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
     taps = np.array([np.eye(2), [[0.5, 0.0], [0.2, 0.3]]])
     for filt in (FirFilter.identity(2), FirFilter(taps)):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(PreconditionError, match="^sigma must be positive definite$"):
             allpass_decompose(filt, sigma=sigma)
+
+
+def test_allpass_sigma_must_be_positive_definite():
+    """J = chol(sigma) needs sigma > 0: a negative or zero noise variance is
+    named where sigma is read, not blamed on the filter's unit-circle zeros."""
+    for sigma in ([[-1.0]], [[0.0]]):
+        with pytest.raises(PreconditionError, match="^sigma must be positive definite$"):
+            allpass_decompose(FirFilter.scalar([1.0, 0.5]), sigma=sigma)
 
 
 def test_allpass_split_of_two_lag_matrix_filter():

@@ -1,0 +1,38 @@
+"""The public surface: each module's ``__all__`` is the one list of its names."""
+
+import ssgc
+from ssgc import dare, downsample, errors, filtering, fitting, gem, model, submodel, sweep, var1
+
+MODULES = (dare, downsample, errors, filtering, fitting, gem, model, submodel, sweep, var1)
+
+# The names the package exported before it re-exported the modules' lists.
+EARLIER_NAMES = {
+    "AllPassDecomposition", "AutocovarianceSequence", "Chi2Result", "ConvergenceError",
+    "DareSolution", "FirFilter", "FrequencyGem", "GcFlags", "GemSummary", "ISSModel",
+    "InfeasibleDesignError", "JointPartition", "MinPhaseResult", "PreconditionError",
+    "SSModel", "SpectralCurve", "SweepResult", "SweepRow", "TimeSeries", "ValidationReport",
+    "Var1Design", "Var1Model", "allpass_decompose", "apply_fir_filter",
+    "autocovariance_of_iss", "chi2_test", "default_grid", "design_var1", "downsample_iss",
+    "extract_submodel", "fit_var_ols", "gc_classify", "gem_frequency", "gem_time_domain",
+    "hrf_glover", "instantaneous_gem", "log_det_spectrum_integral", "min_phase_check",
+    "pbh_test", "riccati_fixed_point", "run_scenario_sweep", "simulate_var", "solve_dare",
+    "solve_lyapunov", "spectral_radius", "spectrum_of_iss", "validate_iss",
+    "var1_fyx_closed_form", "var_to_iss",
+}
+
+
+def test_package_exports_the_concatenated_module_lists():
+    assert ssgc.__all__ == [name for module in MODULES for name in module.__all__]
+    assert len(set(ssgc.__all__)) == len(ssgc.__all__)
+
+
+def test_every_exported_name_is_its_modules_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(ssgc, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_earlier_names_are_still_exported():
+    assert len(EARLIER_NAMES) == 49
+    assert EARLIER_NAMES <= set(ssgc.__all__)
+    assert set(ssgc.__all__) - EARLIER_NAMES == {"Check", "PbhResult"}
