@@ -264,7 +264,7 @@ def _cmd_filter(args) -> int:
     model = _load_model(args.model)
     if args.taps is not None:
         coeffs = {"all channels": args.taps}
-        taps = np.einsum("k,ij->kij", np.asarray(args.taps, dtype=float), np.eye(model.p))
+        taps = np.einsum("k,ij->kij", args.taps, np.eye(model.p))
         filt = FirFilter(taps, model.partition)
     else:
         partition = model.require_partition()

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model as _model
 from .errors import PreconditionError
-from .model import SSModel, _doubling, pbh_test, solve_lyapunov
+from .model import SSModel, _cholesky, _doubling, pbh_test, solve_lyapunov
 
 DEFAULT_TOL = 1e-12
 
@@ -75,13 +75,8 @@ def _gain_pass(a, c, q, r, s, p, iterations: int):
         cp = c @ p
         v, m, f = r + cp @ c.T, a @ cp.T + s, a @ p @ a.T + q
     v = 0.5 * (v + v.T)
-    try:
-        np.linalg.cholesky(v)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(
-            "innovation covariance is not positive definite at iterate "
-            f"{iterations}; the model violates the solver preconditions"
-        ) from exc
+    _cholesky(v, f"innovation covariance is not positive definite at iterate {iterations}; "
+              "the model violates the solver preconditions")
     k = np.linalg.solve(v, m.T).T
     return k, v, f - m @ k.T
 
@@ -162,10 +157,7 @@ def riccati_fixed_point(
 
 
 def _check_preconditions(model: SSModel) -> None:
-    try:
-        np.linalg.cholesky(model.R)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("condition N violated: R is not positive definite") from exc
+    _cholesky(model.R, "condition N violated: R is not positive definite")
 
     # St on the P = 0 pass the core starts from: A_s = A - K_0 C and Q_s = F(0).
     k0, _, q_s = _gain_pass(model.A, model.C, model.Q, model.R, model.S, None, 0)

@@ -28,7 +28,6 @@ from .model import (
     ISSModel,
     JointPartition,
     _as_matrix,
-    _as_real,
     _check_grid,
     _check_symmetric,
     _cholesky,
@@ -51,15 +50,6 @@ __all__ = [
 ]
 
 
-def _as_taps(value, name: str) -> np.ndarray:
-    """The one reader of FIR taps: a float copy of value with real, finite
-    entries, else ValueError naming `name`."""
-    taps = _as_real(value, name)
-    if not np.isfinite(taps).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return taps
-
-
 @dataclass(frozen=True, eq=False)
 class FirFilter:
     """Matrix FIR filter Phi(L) = sum_k taps[k] L^k, taps shape (q+1, p, p).
@@ -72,7 +62,7 @@ class FirFilter:
     partition: JointPartition | None = None
 
     def __post_init__(self) -> None:
-        taps = _as_taps(self.taps, "taps")
+        taps = _as_matrix(self.taps, "taps", None)
         if taps.ndim == 1:
             taps = taps[:, None, None]
         if taps.ndim != 3 or taps.shape[1] != taps.shape[2] or taps.shape[0] < 1:
@@ -89,12 +79,11 @@ class FirFilter:
         dets = np.linalg.det(np.einsum("mk,kij->mij", powers, taps.astype(complex)))
         if np.all(np.abs(dets) < 1e-300):
             raise ValueError("filter determinant is identically zero")
-        taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
 
     @classmethod
     def scalar(cls, coeffs) -> "FirFilter":
-        return cls(_as_taps(coeffs, "coeffs").reshape(-1, 1, 1))
+        return cls(_as_matrix(coeffs, "coeffs", None).reshape(-1, 1, 1))
 
     @classmethod
     def identity(cls, p: int) -> "FirFilter":
@@ -103,8 +92,8 @@ class FirFilter:
     @classmethod
     def block_scalar(cls, coeffs_x, coeffs_y, partition: JointPartition) -> "FirFilter":
         """Block-diagonal filter applying one scalar FIR filter per block."""
-        cx = _as_taps(coeffs_x, "coeffs_x").ravel()
-        cy = _as_taps(coeffs_y, "coeffs_y").ravel()
+        cx = _as_matrix(coeffs_x, "coeffs_x", None).ravel()
+        cy = _as_matrix(coeffs_y, "coeffs_y", None).ravel()
         q = max(len(cx), len(cy)) - 1
         taps = np.zeros((q + 1, partition.p, partition.p))
         for k in range(len(cx)):
@@ -181,14 +170,17 @@ def apply_fir_filter(joint: ISSModel, filt: FirFilter) -> ISSModel:
 
     Raises
     ------
+    PreconditionError
+        If the model is not stationary or its V is not positive definite.
     ConvergenceError
         If the filtered process is rank deficient (det Phi with unit-circle
-        zeros, or a singular V), so that no full-rank innovations model exists;
+        zeros), so that no full-rank innovations model exists;
         the message ends with the Riccati core's own.  The core's one budget
         of 64 steps (each doubling and each Newton step one) covers 2^63 steps
         of the plain recursion, so a unit-circle zero fails at once.
     """
     require_stationary(joint)
+    _cholesky(joint.V, "V must be positive definite")
     if filt.p != joint.p:
         raise ValueError("filter dimension does not match the model output dimension")
     n, p, qp = joint.n, joint.p, filt.q * joint.p
@@ -235,7 +227,7 @@ def min_phase_check(taps) -> MinPhaseResult:
     Leading zero taps are dropped, so a filter with one nonzero tap has no
     zeros and is minimum phase.  All-zero taps raise ValueError.
     """
-    c = _as_taps(taps, "taps").ravel()
+    c = _as_matrix(taps, "taps", None).ravel()
     if not c.any():
         raise ValueError("all taps are zero")
     zeros = np.roots(c)
@@ -261,8 +253,8 @@ def allpass_decompose(
         is positive definite).
     grid : ndarray, optional
         Evaluation grid for the all-pass factor; defaults to 4096 uniform
-        points on [-pi, pi).  It must be 1-D, finite, strictly increasing and
-        span at most one period (ValueError otherwise).
+        points on [-pi, pi).  It must be 1-D, real, finite, strictly
+        increasing and span at most one period (ValueError otherwise).
 
     Returns
     -------
@@ -273,7 +265,7 @@ def allpass_decompose(
     Raises
     ------
     PreconditionError
-        If ``sigma`` is not positive definite.
+        If ``sigma`` (or the V of an ISSModel) is not positive definite.
     ConvergenceError
         As ``apply_fir_filter``, when the spectrum has no full-rank
         minimum-phase factor.
@@ -283,24 +275,23 @@ def allpass_decompose(
     if isinstance(filter_model, ISSModel):
         if sigma is not None:
             raise ValueError("sigma applies to FIR filters only; ISS input carries V")
-        source, filt = filter_model, FirFilter.identity(filter_model.p)
+        source, filt, name = filter_model, FirFilter.identity(filter_model.p), "V"
     elif isinstance(filter_model, FirFilter):
         p = filter_model.p
         sig = np.eye(p) if sigma is None else _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
         if sig.shape != (p, p):
             raise ValueError("sigma shape does not match the filter dimension")
-        _cholesky(sig, "sigma must be positive definite")
         # White noise of covariance sigma (no state) passed through the filter.
         source = ISSModel._build(np.zeros((0, 0)), np.zeros((p, 0)), np.zeros((0, p)), sig)
-        filt = filter_model
+        filt, name = filter_model, "sigma"
     else:
         raise TypeError("filter_model must be an ISSModel or a FirFilter")
 
     sig = source.V
+    j = _cholesky(sig, f"{name} must be positive definite")
     min_phase = apply_fir_filter(source, filt)
     g_eval = filter_model.frequency_response(grid)
     go_eval = min_phase.frequency_response(grid)
-    j = np.linalg.cholesky(sig)
     j_o = np.linalg.cholesky(min_phase.V)
     e_values = np.linalg.solve(go_eval @ j_o, g_eval @ j)
 

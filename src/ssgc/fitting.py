@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import _as_matrix, _as_real, _check_symmetric, _cholesky, _is_int
+from .model import _as_matrix, _check_symmetric, _cholesky, _is_int
 
 __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 
@@ -21,14 +21,15 @@ __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Finite multivariate record, one row per time step (a 1-D array is one
-    channel), read by the one matrix rule ``_as_matrix``."""
+    channel), read by the one array rule ``_as_matrix``."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _as_real(self.values, "time series")
-        vals = _as_matrix(values[:, None] if values.ndim == 1 else values, "time series")
-        if vals.shape[0] < 2:
+        vals = _as_matrix(self.values, "time series", None)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        if vals.ndim != 2 or vals.shape[0] < 2:
             raise ValueError("time series must be a (steps, channels) array with steps >= 2")
         object.__setattr__(self, "values", vals)
 
@@ -81,6 +82,8 @@ def simulate_var(coefficients, sigma, steps: int, rng: np.random.Generator, burn
     symmetric (ValueError).
     """
     coeffs = [_as_matrix(a, f"coefficients[{i}]") for i, a in enumerate(coefficients)]
+    if not coeffs:
+        raise ValueError("need at least one lag coefficient matrix")
     sig = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
     p = coeffs[0].shape[0]
     if any(a.shape != (p, p) for a in coeffs) or sig.shape != (p, p):

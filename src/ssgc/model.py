@@ -57,24 +57,23 @@ __all__ = [
 ]
 
 
-def _as_real(value, name: str) -> np.ndarray:
-    """A float copy of value, else ValueError naming `name`: numpy cannot read
-    value as numbers (a dict, a ragged list, a string), or they are complex."""
+def _as_matrix(value, name: str, ndim: int | None = 2) -> np.ndarray:
+    """The one reader of array arguments (matrices, grids, taps, series,
+    autocovariance stacks): a frozen float copy of value, of rank ndim (any
+    rank when None), with real, finite entries; else ValueError naming
+    `name`: numpy cannot read value as numbers (a dict, a ragged list, text
+    that is not a number), they are complex, the rank is wrong, or an entry
+    is not finite."""
     try:
         m = np.asarray(value)
         if m.dtype.kind != "c":
-            return np.array(m, dtype=float)
+            m = np.array(m, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not a numeric array") from exc
-    raise ValueError(f"{name} contains complex entries")
-
-
-def _as_matrix(value, name: str) -> np.ndarray:
-    """The one reader of matrix arguments: a frozen 2-D float copy of value, whose
-    entries are real and finite, else ValueError naming `name`."""
-    m = _as_real(value, name)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {m.shape}")
+    if m.dtype.kind == "c":
+        raise ValueError(f"{name} contains complex entries")
+    if ndim is not None and m.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     m.setflags(write=False)
@@ -165,10 +164,7 @@ def _logdet_pd(mat: np.ndarray, what: str):
     naming `what`.
     """
     herm = 0.5 * (mat + np.swapaxes(mat, -1, -2).conj())
-    try:
-        chol = np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(f"{what} is not positive definite") from exc
+    chol = _cholesky(herm, f"{what} is not positive definite")
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
     if not np.isfinite(logdet).all():
         raise PreconditionError(f"{what} is not positive definite with a finite log determinant")
@@ -189,15 +185,12 @@ def _grid_tol(grid: np.ndarray) -> float:
 
 
 def _check_grid(grid) -> np.ndarray:
-    """grid as a float array; ValueError unless it is 1-D, not empty, finite,
-    strictly increasing and within one period (grid[-1] - grid[0] <= 2 pi)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("grid must be a 1-D array")
+    """grid as a frozen float copy (``_as_matrix``); ValueError unless it is 1-D,
+    not empty, real, finite, strictly increasing and within one period
+    (grid[-1] - grid[0] <= 2 pi)."""
+    grid = _as_matrix(grid, "grid", 1)
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
-    if not np.isfinite(grid).all():
-        raise ValueError("grid contains non-finite entries")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     if grid[-1] - grid[0] > 2.0 * np.pi + _grid_tol(grid):
@@ -489,13 +482,15 @@ class SpectralCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        # Freeze copies, never the caller's arrays (astype below copies values).
-        grid = _check_grid(self.grid).copy()
+        # Freeze copies, never the caller's arrays: _check_grid copies the grid, astype the values.
+        grid = _check_grid(self.grid)
         values = np.asarray(self.values)
-        if len(grid) != len(values):
-            raise ValueError("grid and values must have matching leading length")
         if not (values.ndim == 1 or (values.ndim == 3 and values.shape[1] == values.shape[2])):
             raise ValueError("values must be (N,) scalars or an (N, p, p) matrix stack")
+        if len(grid) != len(values):
+            raise ValueError("grid and values must have matching leading length")
+        if values.ndim == 1 and values.dtype.kind == "c":
+            raise ValueError("values contain complex entries")
         values = values.astype(float if values.ndim == 1 else complex)
         if not np.isfinite(values).all():
             raise ValueError("values contain non-finite entries")
@@ -510,7 +505,6 @@ class SpectralCurve:
             min_eig = float(np.linalg.eigvalsh(values).min())
             if min_eig < -1e-10 * scale:
                 raise ValueError("matrix curve is not positive semi-definite within tolerance")
-        grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -530,10 +524,9 @@ class AutocovarianceSequence:
     gammas: np.ndarray  # (h_max + 1, p, p)
 
     def __post_init__(self) -> None:
-        g = np.array(self.gammas, dtype=float)  # a copy, frozen below
-        if g.ndim != 3 or g.shape[1] != g.shape[2]:
+        g = _as_matrix(self.gammas, "gammas", 3)
+        if g.shape[1] != g.shape[2]:
             raise ValueError("gammas must have shape (h_max + 1, p, p)")
-        g.setflags(write=False)
         object.__setattr__(self, "gammas", g)
 
     @property
@@ -808,16 +801,13 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     last square A^(2^j) (from A when the loop fails).  Raises
     PreconditionError naming the spectral radius of an unstable A, even one
     that W never reaches, and ConvergenceError ("Lyapunov doubling ...")
-    when the loop fails on a stable A.  ValueError unless a is square and w
-    of its shape, then unless both are finite (``_as_matrix``).
+    when the loop fails on a stable A.  ValueError unless a and w are real,
+    finite 2-D arrays (``_as_matrix``), then unless a is square and w of its
+    shape.
     """
-    try:
-        square = np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] and np.shape(w) == np.shape(a)
-    except ValueError:  # a ragged nested list has no shape
-        square = False
-    if not square:
-        raise ValueError("a must be a square matrix and w of the same shape")
     a, w = _as_matrix(a, "a"), _as_matrix(w, "w")
+    if a.shape[0] != a.shape[1] or w.shape != a.shape:
+        raise ValueError("a must be a square matrix and w of the same shape")
     failure, power, j = None, None, 0
     try:
         p, power, steps = _doubling(a.T, None, 0.5 * (w + w.T), 0.0, LYAPUNOV_TOL, 0)

@@ -35,6 +35,14 @@ BAD_MATRICES = (
     ([[1.0 + 1.0j]], "contains complex entries"),
 )
 
+# Grids every frequency entry rejects by name, before any evaluation
+# (``model._check_grid`` through ``model._as_matrix``): (grid, message).
+BAD_GRIDS = (
+    (np.array([0.0, 1.0 + 1.0j]), "^grid contains complex entries$"),
+    ({"a": 0.0}, "^grid is not a numeric array$"),
+    ([0.0, np.nan, 1.0], "^grid contains non-finite entries$"),
+)
+
 
 class ReferenceScenario(NamedTuple):
     """Bivariate design with tabulated measures across the acceptance sweep factors.

@@ -160,6 +160,9 @@ def test_gem_indefinite_covariance_exits_2(tmp_path, capsys):
     }))
     assert main(["gem", str(path)]) == 2
     assert "not PSD" in capsys.readouterr().err
+    # filter names the model's V, not the filter
+    assert main(["filter", str(path), "--taps", "1,0.5"]) == 2
+    assert "error: V must be positive definite" in capsys.readouterr().err
 
 
 def test_digits_flag_controls_formatting(model_file, capsys):

@@ -21,7 +21,7 @@ from ssgc import (
 import ssgc.dare
 import ssgc.filtering
 
-from support import BAD_MATRICES, hrf_filtered_references, random_iss, riccati_loop
+from support import BAD_GRIDS, BAD_MATRICES, hrf_filtered_references, random_iss, riccati_loop
 
 
 def make_block_min_phase(rng, part: JointPartition, order: int = 2) -> FirFilter:
@@ -78,7 +78,7 @@ def test_fir_frequency_response():
     assert h[1, 0, 0] == pytest.approx(1 + 0.5 * np.exp(-1j * np.pi / 2))
     assert f.frequency_response([np.pi / 2])[0, 0, 0] == pytest.approx(h[1, 0, 0])
     for bad, why in (([0.0, np.nan, 1.0], "non-finite"), ([], "empty"),
-                     ([[0.0, 1.0]], "1-D")):
+                     ([[0.0, 1.0]], "1-D"), *BAD_GRIDS):
         with pytest.raises(ValueError, match=why):
             f.frequency_response(bad)
 
@@ -306,6 +306,16 @@ def test_allpass_sigma_must_be_positive_definite():
             allpass_decompose(FirFilter.scalar([1.0, 0.5]), sigma=sigma)
 
 
+def test_filter_names_a_model_v_that_is_not_positive_definite():
+    """A model whose V is not positive definite is named where it enters, not
+    blamed on the filter's unit-circle zeros."""
+    model = ISSModel([[0.5]], [[1.0]], [[0.3]], [[-1.0]])
+    for call in (lambda: apply_fir_filter(model, FirFilter.scalar([1.0, 0.5])),
+                 lambda: allpass_decompose(model)):
+        with pytest.raises(PreconditionError, match="^V must be positive definite$"):
+            call()
+
+
 def test_allpass_split_of_two_lag_matrix_filter():
     taps = np.array([
         [[1.0, 0.3], [-0.2, 0.8]],
@@ -351,6 +361,9 @@ def test_allpass_split_rejects_a_bad_grid():
     ]
     for grid in bad_grids:
         with pytest.raises(ValueError, match="grid"):
+            allpass_decompose(FirFilter.scalar([1.0, 2.0]), grid=grid)
+    for grid, message in BAD_GRIDS:
+        with pytest.raises(ValueError, match=message):
             allpass_decompose(FirFilter.scalar([1.0, 2.0]), grid=grid)
 
 

@@ -76,6 +76,11 @@ def test_simulation_is_reproducible_and_burned_in():
     skew = np.array([[1.0, 0.9], [-0.9, 1.0]])  # not read by its lower triangle alone
     with pytest.raises(ValueError, match="^sigma must be symmetric$"):
         simulate_var([np.zeros((2, 2))], skew, 10, np.random.default_rng(6))
+    # No lags is named as var_to_iss names it, not an IndexError.
+    for entry in (lambda: simulate_var([], sigma, 10, np.random.default_rng(6)),
+                  lambda: var_to_iss([], sigma)):
+        with pytest.raises(ValueError, match="^need at least one lag coefficient matrix$"):
+            entry()
 
 
 def test_fit_rejects_short_records_and_collinearity():

@@ -19,6 +19,7 @@ from ssgc import (
 )
 
 from support import (
+    BAD_GRIDS,
     BAD_MATRICES,
     bivariate_var,
     instantaneous_gem_canonical,
@@ -125,6 +126,7 @@ def test_grid_wider_than_one_period_is_an_error(monkeypatch):
         (nan_grid, "non-finite"),
         (np.array([]), "grid must not be empty"),
         ([], "grid must not be empty"),
+        *BAD_GRIDS,
     ]
     with monkeypatch.context() as patch:
 

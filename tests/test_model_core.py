@@ -40,6 +40,7 @@ from ssgc import (
 from ssgc.model import PBH_TOL, STABILITY_MARGIN, require_stationary
 
 from support import (
+    BAD_GRIDS,
     BAD_MATRICES,
     bivariate_var,
     hrf_filtered_references,
@@ -142,6 +143,31 @@ def test_frozen_fields_are_copies_of_the_callers_arrays():
         source[0] = 0.5  # raised "assignment destination is read-only" when frozen in place
         assert not field.flags.writeable
         assert np.array_equal(field, before)
+
+
+def test_curves_and_autocovariances_read_their_arrays_by_name():
+    """A curve's grid and an autocovariance stack are read by the one array
+    rule; complex scalar curve values are named, not cut to their real part."""
+    values = np.ones(3)
+    for grid, message in BAD_GRIDS:
+        with pytest.raises(ValueError, match=message):
+            SpectralCurve(grid, values)
+    with pytest.raises(ValueError, match="^values contain complex entries$"):
+        SpectralCurve([0.0, 1.0], [1.0 + 1.0j, 2.0])
+    with pytest.raises(ValueError, match=r"^values must be \(N,\) scalars or an \(N, p, p\)"):
+        SpectralCurve([0.0], {"a": 1.0})
+    matrix_curve = SpectralCurve([0.0, 1.0], np.full((2, 1, 1), 1.0 + 0.0j))
+    assert matrix_curve.values.dtype == complex
+    bad_gammas = (
+        (np.full((2, 1, 1), np.nan), "^gammas contains non-finite entries$"),
+        (np.full((2, 1, 1), 1.0 + 1.0j), "^gammas contains complex entries$"),
+        ({"a": 1.0}, "^gammas is not a numeric array$"),
+        (np.ones((2, 2)), r"^gammas must be a 3-D array, got shape \(2, 2\)$"),
+        (np.ones((2, 1, 2)), r"^gammas must have shape \(h_max \+ 1, p, p\)$"),
+    )
+    for gammas, message in bad_gammas:
+        with pytest.raises(ValueError, match=message):
+            AutocovarianceSequence(gammas)
 
 
 def test_spectral_radius_known_matrix():
@@ -597,22 +623,24 @@ def test_solve_lyapunov_needs_stable_a():
     # W never reaches the unstable mode, so Smith's sum converges; A is still unstable.
     with pytest.raises(PreconditionError, match="needs stable A, spectral radius = 2$"):
         solve_lyapunov(np.diag([0.5, 2.0]), np.diag([1.0, 0.0]))
-    for a, w in ((np.full((2, 3), 0.1), np.eye(2)), (np.eye(2) / 2, np.eye(3)), (np.array([0.5]), np.eye(1))):
+    for a, w in ((np.full((2, 3), 0.1), np.eye(2)), (np.eye(2) / 2, np.eye(3))):
         with pytest.raises(ValueError, match="a must be a square matrix and w of the same shape"):
             solve_lyapunov(a, w)
+    # The one array rule reads a first, so a 1-D a is named by its rank.
+    with pytest.raises(ValueError, match=r"^a must be a 2-D array, got shape \(1,\)$"):
+        solve_lyapunov(np.array([0.5]), np.eye(1))
 
 
 def test_solve_lyapunov_reads_finite_matrices_by_name():
-    """After the shape check, NaN or inf in a or w is a named ValueError, not
-    an unnamed LinAlgError or a spent budget; a dict or a ragged list fails
-    the shape check."""
+    """NaN or inf in a or w is a named ValueError, not an unnamed LinAlgError
+    or a spent budget; a dict or a ragged list is not a numeric array."""
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^a contains non-finite entries$"):
             solve_lyapunov(np.array([[bad]]), np.eye(1))
         with pytest.raises(ValueError, match="^w contains non-finite entries$"):
             solve_lyapunov(np.eye(1) / 2, np.array([[bad]]))
     for a in ({"a": 0.5}, [[0.5], [0.5, 0.1]]):
-        with pytest.raises(ValueError, match="^a must be a square matrix and w of the same shape$"):
+        with pytest.raises(ValueError, match="^a is not a numeric array$"):
             solve_lyapunov(a, np.eye(1))
 
 
@@ -632,6 +660,9 @@ def test_frequency_response_checks_its_grid():
         "one period": [-np.pi, np.pi + 0.1],
     }
     for message, grid in bad.items():
+        with pytest.raises(ValueError, match=message):
+            mdl.frequency_response(grid)
+    for grid, message in BAD_GRIDS:
         with pytest.raises(ValueError, match=message):
             mdl.frequency_response(grid)
     want = transfer_function_pointwise(mdl, np.array([0.3]))
