@@ -15,6 +15,13 @@ At Pi = 0 the shifted model is (A_s, Q_s, R) with A_s = A - S R^{-1} C and
 Q_s = Q - S R^{-1} S^T, and the iterates are monotone nondecreasing under
 the standard admissibility conditions.  Both return a ``DareSolution``; a
 Cholesky failure of V raises PreconditionError, divergence ConvergenceError.
+
+``solve_dare`` checks its premises first.  St is decided on the eigen-factor
+U diag(sqrt(lambda)) of Q_s = U diag(lambda) U^T that the PSD check computes:
+when every eigenvalue is above rounding level and sqrt(lambda_min) exceeds
+twice the staircase's first floor PBH_TOL * max(1, sqrt(lambda_max)), that
+factor alone spans the state, so (A_s, Q_s^(1/2)) is controllable and St
+holds with no PBH test.  Every other case, and De always, runs ``pbh_test``.
 """
 
 from __future__ import annotations
@@ -172,11 +179,17 @@ def _check_preconditions(model: SSModel) -> None:
         )
     # Eigenvalues at rounding level count as zero: their roots would clear the staircase floor.
     kept = eigvals > (model.n + model.p) * np.finfo(float).eps * top
-    st = pbh_test(model.A - k0 @ model.C, vecs[:, kept] * np.sqrt(eigvals[kept]), "stabilizable")
-    if not st.passed:
-        raise PreconditionError(
-            f"condition St violated: (A_s, Q_s^(1/2)) not stabilizable, eigenvalue {st.witness:.6g}"
-        )
+    roots = np.sqrt(eigvals[kept])
+    # The singular values of vecs diag(roots) are roots: clearing the staircase's first
+    # floor twice over, a full set spans the state, so St holds with no staircase.
+    floor = _model.PBH_TOL * max(1.0, float(roots.max(initial=0.0)))
+    if not (kept.all() and roots.min(initial=np.inf) > 2.0 * floor):
+        st = pbh_test(model.A - k0 @ model.C, vecs[:, kept] * roots, "stabilizable")
+        if not st.passed:
+            raise PreconditionError(
+                "condition St violated: (A_s, Q_s^(1/2)) not stabilizable, "
+                f"eigenvalue {st.witness:.6g}"
+            )
 
     de = pbh_test(model.A, model.C.T, "detectable")
     if not de.passed:
@@ -193,7 +206,9 @@ def solve_dare(model: SSModel, keep_history: bool = False) -> DareSolution:
     model : SSModel
         Model supplying (A, C, [Q, R, S]).  Preconditions: R positive definite,
         (A_s, Q_s^(1/2)) stabilizable and (A, C) detectable; all three are
-        checked and reported by name on failure.
+        checked and reported by name on failure.  St needs no PBH test when
+        Q_s is positive definite with sqrt(lambda_min) above twice
+        PBH_TOL * max(1, sqrt(lambda_max)): its root then reaches every state.
     keep_history : bool
         Store the iterates P_0, P_1, P_2, P_4, ... and the Newton iterates in
         the solution (for diagnostics); ``len(history) == iterations + 1``.

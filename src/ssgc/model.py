@@ -57,15 +57,27 @@ __all__ = [
 ]
 
 
+def _read_array(value, name: str) -> np.ndarray:
+    """np.asarray(value); ValueError "<name> is not a numeric array" when numpy
+    cannot read it (a ragged list) or reads it as text, which a float
+    conversion would parse ("1.5" is not 1.5 here)."""
+    try:
+        m = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric array") from exc
+    if m.dtype.kind in "SU":
+        raise ValueError(f"{name} is not a numeric array")
+    return m
+
+
 def _as_matrix(value, name: str, ndim: int | None = 2) -> np.ndarray:
     """The one reader of array arguments (matrices, grids, taps, series,
     autocovariance stacks): a frozen float copy of value, of rank ndim (any
     rank when None), with real, finite entries; else ValueError naming
-    `name`: numpy cannot read value as numbers (a dict, a ragged list, text
-    that is not a number), they are complex, the rank is wrong, or an entry
-    is not finite."""
+    `name`: value is not a numeric array (text, a dict, a ragged list), its
+    entries are complex, the rank is wrong, or an entry is not finite."""
+    m = _read_array(value, name)
     try:
-        m = np.asarray(value)
         if m.dtype.kind != "c":
             m = np.array(m, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -484,7 +496,7 @@ class SpectralCurve:
     def __post_init__(self) -> None:
         # Freeze copies, never the caller's arrays: _check_grid copies the grid, astype the values.
         grid = _check_grid(self.grid)
-        values = np.asarray(self.values)
+        values = _read_array(self.values, "values")
         if not (values.ndim == 1 or (values.ndim == 3 and values.shape[1] == values.shape[2])):
             raise ValueError("values must be (N,) scalars or an (N, p, p) matrix stack")
         if len(grid) != len(values):
@@ -573,23 +585,31 @@ class PbhResult(NamedTuple):
 def _reachable_basis(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Orthonormal basis of the subspace reachable from b under a, and its margin.
 
-    Orthogonal staircase (Paige 1981, Van Dooren 1981): Krylov blocks orthogonalized
-    twice, SVD-deflated at tol * max(1, ||b||_2), then at tol * max(1, ||a||_2).  The
-    margin is the least singular value kept, or the largest dropped (0.0 if none).
+    Orthogonal staircase (Paige 1981, Van Dooren 1981), one SVD per Krylov block.
+    The first block is b itself, deflated at tol * max(1, ||b||_2), read off its own
+    singular values; each later block is a times the directions just kept,
+    orthogonalized twice against the basis and deflated at tol * max(1, ||a||_2),
+    computed only when a second block is needed.  A pair whose first block spans
+    the state therefore costs one SVD.  The margin is the least singular value
+    kept, or the largest dropped (0.0 if none).
     """
-    basis = np.zeros((a.shape[0], 0))
-    block, floor = b, tol * max(1.0, float(np.linalg.norm(b, 2)))
-    later_floor, margin = tol * max(1.0, float(np.linalg.norm(a, 2))), np.inf
+    basis, block, margin = np.zeros((a.shape[0], 0)), b, np.inf
     while basis.shape[1] < a.shape[0]:
-        for _ in range(2):
-            block = block - basis @ (basis.T @ block)
         u, sing, _ = np.linalg.svd(block, full_matrices=False)
+        if block is b:
+            floor = tol * max(1.0, float(sing.max(initial=0.0)))
         keep = sing > floor
         if not keep.any():
             return basis, float(sing.max(initial=0.0))
         basis = np.hstack([basis, u[:, keep]])
         margin = min(margin, float(sing[keep].min()))
-        block, floor = a @ u[:, keep], later_floor
+        if basis.shape[1] == a.shape[0]:
+            break
+        if block is b:
+            floor = tol * max(1.0, float(np.linalg.norm(a, 2)))
+        block = a @ u[:, keep]
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
     return basis, margin
 
 

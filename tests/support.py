@@ -32,6 +32,7 @@ BAD_MATRICES = (
     ([[np.inf]], "contains non-finite entries"),
     ([1.0], "must be a 2-D array"),
     ({"a": 1.0}, "is not a numeric array"),
+    ([["1.5"]], "is not a numeric array"),
     ([[1.0 + 1.0j]], "contains complex entries"),
 )
 
@@ -40,6 +41,7 @@ BAD_MATRICES = (
 BAD_GRIDS = (
     (np.array([0.0, 1.0 + 1.0j]), "^grid contains complex entries$"),
     ({"a": 0.0}, "^grid is not a numeric array$"),
+    (["-1", "0", "1"], "^grid is not a numeric array$"),
     ([0.0, np.nan, 1.0], "^grid contains non-finite entries$"),
 )
 

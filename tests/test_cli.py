@@ -74,6 +74,8 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
      "coefficients[0] contains non-finite entries"),
     ({"type": "var", "coeffs": [[[0.5]]], "sigma": {"s": 1.0}},
      "model entry 'sigma' is not a numeric array"),
+    ({"type": "iss", "A": [["0.5"]], "C": [[1.0]], "K": [[0.5]], "V": [[1.0]]},
+     "model entry 'A' is not a numeric array"),
 ])
 def test_non_finite_or_non_numeric_entry_is_a_usage_error(doc, name, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ssgc.dare
 import ssgc.model
 from ssgc import (
     ConvergenceError,
@@ -292,10 +293,18 @@ def test_defective_shift_register_matches_scipy(r, s_scale):
     assert spectral_radius(a - sol.K @ c) < 1.0
 
 
-def test_stable_a_with_unstable_a_s():
+def test_stable_a_with_unstable_a_s(monkeypatch):
     """A stable, A_s = A - S R^{-1} C unstable: the doubling starts from an
-    unstable A_0 and still reaches the stabilizing solution."""
-    sol = solve_dare(SSModel([[0.5]], [[1.0]], [[1.5]], [[1.0]], [[-1.0]]))  # A_s = 1.5
+    unstable A_0 and still reaches the stabilizing solution.  Q_s is positive
+    definite, so its root alone reaches every state and St needs no PBH
+    staircase: the one test solve_dare runs is De's, and P is the core's."""
+    modes = []
+    pbh = ssgc.dare.pbh_test
+    monkeypatch.setattr(ssgc.dare, "pbh_test", lambda a, b, mode: modes.append(mode) or pbh(a, b, mode))
+    mdl = SSModel([[0.5]], [[1.0]], [[1.5]], [[1.0]], [[-1.0]])  # A_s = 1.5, Q_s = 0.5
+    sol = solve_dare(mdl)
+    assert modes == ["detectable"]
+    assert np.array_equal(sol.P, riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S).P)
     assert sol.P[0, 0] == pytest.approx(scalar_fixed_point(0.5, 1.0, 1.5, 1.0, -1.0), rel=1e-12)
     assert abs(0.5 - sol.K[0, 0]) < 1.0
 
@@ -306,7 +315,9 @@ def test_stable_a_with_unstable_a_s():
         if spectral_radius(shifted_pair(mdl)[0]) < 1.0:
             continue
         unstable += 1
+        modes.clear()
         sol = solve_dare(mdl)
+        assert modes == ["detectable"]
         ref = scipy.linalg.solve_discrete_are(mdl.A.T, mdl.C.T, mdl.Q, mdl.R, s=mdl.S)
         assert np.abs(sol.P - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
         assert spectral_radius(mdl.A - sol.K @ mdl.C) < 1.0

@@ -156,6 +156,9 @@ def test_curves_and_autocovariances_read_their_arrays_by_name():
         SpectralCurve([0.0, 1.0], [1.0 + 1.0j, 2.0])
     with pytest.raises(ValueError, match=r"^values must be \(N,\) scalars or an \(N, p, p\)"):
         SpectralCurve([0.0], {"a": 1.0})
+    for values in ([[1.0], [1.0, 2.0]], ["1", "2"], [b"1", b"2"]):
+        with pytest.raises(ValueError, match="^values is not a numeric array$"):
+            SpectralCurve([0.0, 1.0], values)
     matrix_curve = SpectralCurve([0.0, 1.0], np.full((2, 1, 1), 1.0 + 0.0j))
     assert matrix_curve.values.dtype == complex
     bad_gammas = (
@@ -168,6 +171,17 @@ def test_curves_and_autocovariances_read_their_arrays_by_name():
     for gammas, message in bad_gammas:
         with pytest.raises(ValueError, match=message):
             AutocovarianceSequence(gammas)
+
+
+def test_numeric_text_is_not_a_numeric_array():
+    """numpy would parse "1.5" as 1.5; the array rule rejects text by name."""
+    model = bivariate_var(np.random.default_rng(3), 1)
+    with pytest.raises(ValueError, match="^grid is not a numeric array$"):
+        gem_frequency(model, ["-1", "0", "1"])
+    with pytest.raises(ValueError, match="^coeffs is not a numeric array$"):
+        FirFilter.scalar("1.5")
+    with pytest.raises(ValueError, match="^a is not a numeric array$"):
+        pbh_test([[b"0.5"]], [[1.0]])
 
 
 def test_spectral_radius_known_matrix():
@@ -327,6 +341,84 @@ def test_pbh_controllable_is_backward_stable_on_a_nearly_defective_pair():
         assert 0.0 < res.margin <= PBH_TOL * np.linalg.norm(a, 2)
         assert abs(res.witness - 1.2) < 1e-2
         assert pbh_eigenvector(a, b, unstable_only=mode != "controllable").passed
+
+
+def _companion_pair(rng):
+    """Companion a driven at its first state: n Krylov blocks of one column each."""
+    n = int(rng.integers(2, 7))
+    a = np.eye(n, k=-1)
+    a[0] = rng.standard_normal(n)
+    b = np.zeros((n, 1))
+    b[0, 0] = 1.0
+    return a, b, np.array([])
+
+
+def _staircase_with_both_floors_first(a, b, tol):
+    """The staircase computing ||b||_2 and ||a||_2 before its first block and
+    orthogonalizing that block against the empty basis, as the oracle of
+    ``_reachable_basis``'s shortcuts."""
+    basis = np.zeros((a.shape[0], 0))
+    block, floor = b, tol * max(1.0, float(np.linalg.norm(b, 2)))
+    later_floor, margin = tol * max(1.0, float(np.linalg.norm(a, 2))), np.inf
+    while basis.shape[1] < a.shape[0]:
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
+        u, sing, _ = np.linalg.svd(block, full_matrices=False)
+        keep = sing > floor
+        if not keep.any():
+            return basis, float(sing.max(initial=0.0))
+        basis = np.hstack([basis, u[:, keep]])
+        margin = min(margin, float(sing[keep].min()))
+        block, floor = a @ u[:, keep], later_floor
+    return basis, margin
+
+
+def _count_svd_and_norm(monkeypatch) -> dict:
+    calls = {"svd": 0, "norm": 0}
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", norm))
+    return calls
+
+
+def test_pbh_first_block_spanning_the_state_costs_one_svd(monkeypatch):
+    """b of full row rank is the whole staircase: one SVD, whose largest
+    singular value is ||b||_2, and no 2-norm of a."""
+    rng = np.random.default_rng(13)
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 5))
+    want = _staircase_with_both_floors_first(a, b, PBH_TOL)[1]
+    calls = _count_svd_and_norm(monkeypatch)
+    assert pbh_test(a, b) == (True, None, want)
+    assert calls == {"svd": 1, "norm": 0}
+
+
+def test_staircase_takes_one_svd_per_block(monkeypatch):
+    """One SVD per Krylov block and ||a||_2 only once a second block is needed,
+    with the basis and margin, bit for bit, of the staircase that computes
+    both floors first: on n = 0, an empty gain, multi-block companion pairs
+    and the pairs of the eigenvector comparison."""
+    rng = np.random.default_rng(14)
+    pairs = [(np.zeros((0, 0)), np.zeros((0, 2))), (np.diag([0.5, 1.5]), np.zeros((2, 0)))]
+    for make in (_random_pair, _planted_pair, _diagonal_pair, _jordan_pair, _companion_pair):
+        pairs += [make(rng)[:2] for _ in range(60)]
+    calls = _count_svd_and_norm(monkeypatch)
+    blocks = []
+    for a, b in pairs:
+        calls.update(svd=0, norm=0)
+        want = _staircase_with_both_floors_first(a, b, PBH_TOL)
+        blocks.append(calls["svd"])
+        calls.update(svd=0, norm=0)
+        basis, margin = ssgc.model._reachable_basis(a, b, PBH_TOL)
+        assert np.array_equal(basis, want[0]) and margin == want[1]
+        assert calls == {"svd": blocks[-1], "norm": int(blocks[-1] > 1)}
+    assert blocks.count(0) == 1 and blocks.count(1) > 20 and max(blocks) >= 5
 
 
 @pytest.mark.parametrize("mode", ["controllable", "stabilizable", "detectable"])
