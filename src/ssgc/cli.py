@@ -316,7 +316,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ssgc", description="State-space Granger causality toolbox.")
     common = _Parser(add_help=False)
     common.add_argument("--digits", type=int, default=6, metavar="N",
-                        help="significant digits for numeric output (default 6)")
+                        help="significant digits for numeric output, at least 1 (default 6)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("validate", parents=[common], help="run structural checks on a model file")
@@ -396,7 +396,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.digits < 1:  # "%.*g" would print 0 and below as one digit
+        parser.error(f"argument --digits: expected an integer >= 1, got {args.digits}")
     try:
         return args.handler(args)
     except (PreconditionError, ConvergenceError, InfeasibleDesignError) as exc:

@@ -4,17 +4,20 @@ The fixed point solved is
 
     P = A P A^T + Q - K V K^T,   V = R + C P C^T,   K = (A P C^T + S) V^{-1}.
 
-One core, ``riccati_fixed_point``, serves every solve: ``solve_dare`` starts
-it at Pi = 0, FIR filtering at the Newton-Hewer iterate (Hewer 1971) of the
-state covariance's gain.  X = P - Pi obeys the same recursion on
-(A - K(Pi) C, F(Pi) - Pi, V(Pi)) with no cross term, F being the Riccati
-map, and the structure-preserving doubling algorithm (Chu, Fan & Lin 2005),
-the one doubling loop of ``model``, reaches its 2^k-th iterate in k steps.
-Newton-Hewer steps, one Stein equation on A - K C each, refine the result.
-At Pi = 0 the shifted model is (A_s, Q_s, R) with A_s = A - S R^{-1} C and
-Q_s = Q - S R^{-1} S^T, and the iterates are monotone nondecreasing under
-the standard admissibility conditions.  Both return a ``DareSolution``; a
-Cholesky failure of V raises PreconditionError, divergence ConvergenceError.
+One core, ``riccati_fixed_point``, serves every solve.  It takes the same
+``SSModel`` as ``solve_dare``, whose general noise every transform forms by
+the one rule ``SSModel._driven`` (Q = G W G^T, R = D W D^T, S = G W D^T).
+``solve_dare`` starts it at Pi = 0, FIR filtering at the Newton-Hewer
+iterate (Hewer 1971) of the state covariance's gain.  X = P - Pi obeys the
+same recursion on (A - K(Pi) C, F(Pi) - Pi, V(Pi)) with no cross term, F
+being the Riccati map, and the structure-preserving doubling algorithm (Chu,
+Fan & Lin 2005), the one doubling loop of ``model``, reaches its 2^k-th
+iterate in k steps.  Newton-Hewer steps, one Stein equation on A - K C each,
+refine the result.  At Pi = 0 the shifted model is (A_s, Q_s, R) with
+A_s = A - S R^{-1} C and Q_s = Q - S R^{-1} S^T, and the iterates are
+monotone nondecreasing under the standard admissibility conditions.  Both
+return a ``DareSolution``; a Cholesky failure of V raises PreconditionError,
+divergence ConvergenceError.
 
 ``solve_dare`` checks its premises first.  St is decided on the eigen-factor
 U diag(sqrt(lambda)) of Q_s = U diag(lambda) U^T that the PSD check computes:
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import model as _model
 from .errors import PreconditionError
-from .model import SSModel, _cholesky, _doubling, pbh_test, solve_lyapunov
+from .model import SSModel, _as_matrix, _cholesky, _doubling, pbh_test, solve_lyapunov
 
 DEFAULT_TOL = 1e-12
 
@@ -96,16 +99,10 @@ def _hewer(a, c, q, r, s, k) -> np.ndarray:
     return solve_lyapunov(a - k @ c, q - ks - ks.T + k @ r @ k.T)
 
 
-def riccati_fixed_point(
-    a: np.ndarray,
-    c: np.ndarray,
-    q: np.ndarray,
-    r: np.ndarray,
-    s: np.ndarray,
-    p0: np.ndarray | None = None,
-    keep_history: bool = False,
-):
-    """Riccati fixed point reached from the start p0 (zero by default).
+def riccati_fixed_point(model: SSModel, p0=None, keep_history: bool = False) -> DareSolution:
+    """Riccati fixed point of the model (A, C, [Q, R, S]) reached from the
+    start p0 (zero by default), an (n, n) array read by ``_as_matrix``
+    (ValueError naming "p0" unless it is real, finite and of that shape).
 
     Returns a ``DareSolution``, stabilizing at p0 = 0 under ``solve_dare``'s
     premises.  A start p0 is first replaced by one Newton-Hewer step from its
@@ -126,10 +123,14 @@ def riccati_fixed_point(
     meets a singular step ("doubling ..."), or a Newton step's Lyapunov
     solve fails on a stable A - K C ("Lyapunov doubling ...").
     """
+    a, c, q, r, s = model.A, model.C, model.Q, model.R, model.S
     history: list[np.ndarray] | None = [] if keep_history else None
     if p0 is None:
         pi, done = np.zeros(a.shape), 0
     else:
+        p0 = _as_matrix(p0, "p0")
+        if p0.shape != a.shape:
+            raise ValueError(f"p0 must have shape {a.shape}, got {p0.shape}")
         # One Newton-Hewer step from the gain K(p0), which must be stabilizing.
         pi, done = 0.5 * (p0 + p0.T), 1
         if history is not None:
@@ -231,6 +232,4 @@ def solve_dare(model: SSModel, keep_history: bool = False) -> DareSolution:
         If the 64-step budget runs out or the iterates diverge.
     """
     _check_preconditions(model)
-    return riccati_fixed_point(
-        model.A, model.C, model.Q, model.R, model.S, keep_history=keep_history
-    )
+    return riccati_fixed_point(model, keep_history=keep_history)

@@ -5,7 +5,9 @@ process z_bar[k] = z[m k] is again ISS with state matrix A^m; its gain and
 innovation covariance solve the DARE of
 
     (A^m, C, [Q_m, V, S_m]),  S_m = A^{m-1} K V,
-    Q_1 = K V K^T,            Q_j = A Q_{j-1} A^T + K V K^T.
+    Q_1 = K V K^T,            Q_j = A Q_{j-1} A^T + K V K^T,
+
+where Q_1 and S_1 = K V are the noise of ``ISSModel.as_ss``.
 """
 
 from __future__ import annotations
@@ -39,15 +41,13 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     if m == 1:
         return model
 
-    kv = model.K @ model.V
-    w = kv @ model.K.T
-    w = 0.5 * (w + w.T)
-    q = w.copy()
+    noise = model.as_ss()
+    q = noise.Q
     for _ in range(m - 1):
-        q = model.A @ q @ model.A.T + w
+        q = model.A @ q @ model.A.T + noise.Q
         q = 0.5 * (q + q.T)
     a_m = np.linalg.matrix_power(model.A, m)
-    s_m = np.linalg.matrix_power(model.A, m - 1) @ kv
+    s_m = np.linalg.matrix_power(model.A, m - 1) @ noise.S
 
-    sol = solve_dare(SSModel._build(a_m, model.C, q, model.V, s_m))
+    sol = solve_dare(SSModel._build(a_m, model.C, q, noise.R, s_m))
     return ISSModel._build(a_m, model.C, sol.K, sol.V, partition=model.partition)

@@ -27,6 +27,7 @@ from .errors import ConvergenceError, PreconditionError
 from .model import (
     ISSModel,
     JointPartition,
+    SSModel,
     _as_matrix,
     _check_grid,
     _check_symmetric,
@@ -192,17 +193,11 @@ def apply_fir_filter(joint: ISSModel, filt: FirFilter) -> ISSModel:
     g = np.vstack((joint.K, np.eye(qp, p)))
     phi0 = filt.taps[0]
     c = np.hstack((phi0 @ joint.C, *filt.taps[1:]))
+    augmented = SSModel._driven(a, c, g, phi0, joint.V)  # D = Phi_0, W = V
 
-    gv = g @ joint.V
-    q_mat = gv @ g.T
-    q_mat = 0.5 * (q_mat + q_mat.T)
-    r_mat = phi0 @ joint.V @ phi0.T
-    r_mat = 0.5 * (r_mat + r_mat.T)
-    s_mat = gv @ phi0.T
-
-    pi = solve_lyapunov(a, q_mat)
+    pi = solve_lyapunov(a, augmented.Q)
     try:
-        sol = riccati_fixed_point(a, c, q_mat, r_mat, s_mat, p0=pi)
+        sol = riccati_fixed_point(augmented, p0=pi)
     except (PreconditionError, ConvergenceError) as exc:
         raise ConvergenceError(
             "the filtered process is rank deficient (its filter determinant "
@@ -292,7 +287,7 @@ def allpass_decompose(
     min_phase = apply_fir_filter(source, filt)
     g_eval = filter_model.frequency_response(grid)
     go_eval = min_phase.frequency_response(grid)
-    j_o = np.linalg.cholesky(min_phase.V)
+    j_o = _cholesky(min_phase.V, "minimum-phase innovation covariance is not positive definite")
     e_values = np.linalg.solve(go_eval @ j_o, g_eval @ j)
 
     eye = np.eye(min_phase.p)

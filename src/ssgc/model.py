@@ -5,11 +5,11 @@ The central object is the innovations state-space (ISS) model
     x[t+1] = A x[t] + K e[t]
     z[t]   = C x[t] + e[t],      cov(e) = V,
 
-together with the general noise-parameterized form (A, C, [Q, R, S]) used as
-input to the Riccati solver.  This module also provides the PBH
-controllability, stabilizability and detectability tests (one orthogonal
-staircase rule for all three), VAR-to-ISS conversion, transfer function and
-spectral evaluation, and autocovariance sequences.
+together with the general noise-parameterized form (A, C, [Q, R, S]) of the
+Riccati solver, built by one noise rule, ``SSModel._driven``.  This module
+also provides the PBH controllability, stabilizability and detectability
+tests (one orthogonal staircase rule for all three), VAR-to-ISS conversion,
+transfer function and spectral evaluation, and autocovariance sequences.
 """
 
 from __future__ import annotations
@@ -418,6 +418,13 @@ class SSModel(_StateSpace):
     partition: JointPartition | None = None
     _MATRICES = ("A", "C", "Q", "R", "S")  # the matrix fields, in constructor order
 
+    @classmethod
+    def _driven(cls, a, c, g, d, w, partition: JointPartition | None = None) -> SSModel:
+        """The one noise rule: the driven model x[t+1] = A x + G w, z = C x + D w,
+        cov(w) = W, as (A, C, [G W G^T, D W D^T, G W D^T]), built by ``_build``."""
+        gw = g @ w
+        return cls._build(a, c, gw @ g.T, d @ w @ d.T, gw @ d.T, partition=partition)
+
 
 @dataclass(frozen=True, eq=False)
 class ISSModel(_StateSpace):
@@ -476,9 +483,8 @@ class ISSModel(_StateSpace):
         return h
 
     def as_ss(self) -> SSModel:
-        """Equivalent general-noise form (A, C, [K V K^T, V, K V])."""
-        kv = self.K @ self.V
-        return SSModel._build(self.A, self.C, kv @ self.K.T, self.V, kv, partition=self.partition)
+        """Equivalent general-noise form (A, C, [K V K^T, V, K V]): G = K, D = I, W = V."""
+        return SSModel._driven(self.A, self.C, self.K, np.eye(self.p), self.V, self.partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -846,18 +852,18 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 def autocovariance_of_iss(model: ISSModel, h_max: int) -> AutocovarianceSequence:
     """Autocovariances Gamma(0..h_max) of a stationary ISS model.
 
-    Uses the state covariance Pi from the Lyapunov equation:
+    Uses the state covariance Pi of the Lyapunov equation on Q = K V K^T (``as_ss``):
     Gamma(0) = C Pi C^T + V and Gamma(h) = C A^{h-1} (A Pi C^T + K V), h >= 1.
     """
     if not _is_int(h_max) or h_max < 0:
         raise ValueError("h_max must be a nonnegative integer")
     require_stationary(model)
-    kv = model.K @ model.V
-    pi = solve_lyapunov(model.A, kv @ model.K.T)
+    noise = model.as_ss()
+    pi = solve_lyapunov(model.A, noise.Q)
     gammas = np.empty((h_max + 1, model.p, model.p))
     g0 = model.C @ pi @ model.C.T + model.V
     gammas[0] = 0.5 * (g0 + g0.T)
-    x = model.A @ pi @ model.C.T + kv
+    x = model.A @ pi @ model.C.T + noise.S
     for h in range(1, h_max + 1):
         gammas[h] = model.C @ x
         x = model.A @ x

@@ -178,6 +178,15 @@ def test_digits_flag_controls_formatting(model_file, capsys):
     assert float(twelve_first) == pytest.approx(float(six_first), rel=1e-5)
 
 
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_digits_below_one_is_a_usage_error(model_file, digits, capsys):
+    """"%.*g" would clamp 0 and below to one digit: the flag names them instead."""
+    with pytest.raises(SystemExit) as exc:
+        main(["gem", model_file, "--digits", digits])
+    assert exc.value.code == 1
+    assert "--digits" in capsys.readouterr().err
+
+
 def test_sweep_lists_requested_factors(var_file, capsys):
     assert main(["sweep", var_file, "--factors", "1,2,4"]) == 0
     lines = capsys.readouterr().out.splitlines()

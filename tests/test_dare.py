@@ -22,7 +22,7 @@ from ssgc import (
 )
 from ssgc.model import SSModel
 
-from support import hrf_filtered_references, random_ss, riccati_loop, shifted_pair
+from support import BAD_MATRICES, hrf_filtered_references, random_ss, riccati_loop, shifted_pair
 
 
 def scalar_fixed_point(a, c, q, r, s):
@@ -141,7 +141,7 @@ def test_rejects_undetectable_pair():
         solve_dare(mdl)
     # Unchecked, P_{2^k} grows like 1.5^(2^(k+1)) until its norm overflows.
     with pytest.raises(ConvergenceError, match="diverged at step 10"):
-        riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S)
+        riccati_fixed_point(mdl)
 
 
 def test_unreachable_unit_root_is_named_at_every_angle():
@@ -186,7 +186,7 @@ def test_planted_undriven_modes_are_named():
         with pytest.raises(PreconditionError, match="St violated"):
             solve_dare(mdl)
         try:
-            riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S)
+            riccati_fixed_point(mdl)
         except PreconditionError:
             pass
         except ConvergenceError as exc:
@@ -304,7 +304,7 @@ def test_stable_a_with_unstable_a_s(monkeypatch):
     mdl = SSModel([[0.5]], [[1.0]], [[1.5]], [[1.0]], [[-1.0]])  # A_s = 1.5, Q_s = 0.5
     sol = solve_dare(mdl)
     assert modes == ["detectable"]
-    assert np.array_equal(sol.P, riccati_fixed_point(mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S).P)
+    assert np.array_equal(sol.P, riccati_fixed_point(mdl).P)
     assert sol.P[0, 0] == pytest.approx(scalar_fixed_point(0.5, 1.0, 1.5, 1.0, -1.0), rel=1e-12)
     assert abs(0.5 - sol.K[0, 0]) < 1.0
 
@@ -324,6 +324,19 @@ def test_stable_a_with_unstable_a_s(monkeypatch):
     assert unstable >= 10
 
 
+def test_core_reads_its_model_and_start_once():
+    """The core takes an SSModel, so nested lists enter through its reader
+    and a NaN Q is named there, not met as a ConvergenceError; its start p0
+    is read by the one array rule and named."""
+    mdl = SSModel([[0.0]], [[1.0]], [[4.0]], [[1.0]], [[2.0]])
+    assert riccati_fixed_point(mdl, p0=[[4.0]]).P[0, 0] == pytest.approx(3.0, abs=1e-9)
+    with pytest.raises(ValueError, match="^Q contains non-finite entries"):
+        SSModel([[0.5]], [[1.0]], [[np.nan]], [[1.0]], [[0.0]])
+    for bad, message in (*BAD_MATRICES, (np.eye(2), r"must have shape \(1, 1\)")):
+        with pytest.raises(ValueError, match=f"^p0 {message}"):
+            riccati_fixed_point(mdl, p0=bad)
+
+
 def test_warm_start_reaches_stabilizing_branch():
     """A pure moving-average factorization has two fixed points; starting at
     the state covariance selects the stabilizing one, starting at zero the
@@ -331,12 +344,13 @@ def test_warm_start_reaches_stabilizing_branch():
     # state = 2 e_{t-1}: A = 0, C = 1, Q = 4, R = 1, S = 2
     a, c, q, r, s = (np.zeros((1, 1)), np.ones((1, 1)), np.full((1, 1), 4.0),
                      np.ones((1, 1)), np.full((1, 1), 2.0))
+    mdl = SSModel(a, c, q, r, s)
 
-    p0, k0, *_ = riccati_fixed_point(a, c, q, r, s)
+    p0, k0, *_ = riccati_fixed_point(mdl)
     assert p0[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert abs(0.0 - k0[0, 0] * 1.0) > 1.0  # non-stabilizing branch
 
-    sol = riccati_fixed_point(a, c, q, r, s, p0=q)
+    sol = riccati_fixed_point(mdl, p0=q)
     fields = ("P", "K", "V", "iterations", "residual", "history")
     assert isinstance(sol, DareSolution) and len(sol) == len(fields)
     assert all(getattr(sol, f) is entry for f, entry in zip(fields, sol))

@@ -235,8 +235,10 @@ def test_filtering_solve_matches_the_step_loop(monkeypatch):
     joint = random_iss(rng)
     apply_fir_filter(joint, make_block_min_phase(rng, joint.require_partition()))
     assert len(calls) == 4
-    for args, kwargs, (_, k, v, *_) in calls:
-        _, k_loop, v_loop, *_ = riccati_loop(*args, **{**kwargs, "max_iter": 10**6})
+    for (mdl,), kwargs, (_, k, v, *_) in calls:
+        _, k_loop, v_loop, *_ = riccati_loop(
+            mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, **{**kwargs, "max_iter": 10**6}
+        )
         assert np.linalg.norm(k - k_loop) <= 1e-10 * np.linalg.norm(k_loop)
         assert np.linalg.norm(v - v_loop) <= 1e-10 * np.linalg.norm(v_loop)
 
@@ -249,8 +251,10 @@ def test_filtering_solve_holds_under_rounding_of_its_start(monkeypatch):
     calls = record_filter_solves(monkeypatch)
     hrf_filtered_references()
     args, kwargs, _ = calls[2]
-    pi = kwargs["p0"]
-    _, k_loop, v_loop, *_ = riccati_loop(*args, **{**kwargs, "max_iter": 10**6})
+    pi, (mdl,) = kwargs["p0"], args
+    _, k_loop, v_loop, *_ = riccati_loop(
+        mdl.A, mdl.C, mdl.Q, mdl.R, mdl.S, **{**kwargs, "max_iter": 10**6}
+    )
     rng = np.random.default_rng(57)
     for _ in range(50):
         delta = rng.standard_normal(pi.shape)

@@ -574,11 +574,32 @@ def test_overflowing_noise_products_are_named():
     mdl = ISSModel([[0.3, 0.1], [0.1, 0.3]], np.eye(2), np.full((2, 2), 1e200), np.eye(2),
                    JointPartition(1, 1))
     calls = (lambda: downsample_iss(mdl, 2), lambda: gem_time_domain(mdl), mdl.as_ss,
-             lambda: apply_fir_filter(mdl, FirFilter.identity(2)))
+             lambda: apply_fir_filter(mdl, FirFilter.identity(2)),
+             lambda: autocovariance_of_iss(mdl, 1))
     with np.errstate(over="ignore"):
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):
                 call()
+
+
+@pytest.mark.parametrize("n, p, k", [(0, 2, 2), (3, 0, 2), (3, 2, 4), (4, 1, 1), (2, 3, 5)])
+def test_driven_noise_is_the_joint_covariance_in_blocks(n, p, k):
+    """SSModel._driven(A, C, G, D, W) holds [G; D] W [G; D]^T split into
+    [[Q, S], [S^T, R]], symmetric and frozen, with A and C as given."""
+    rng = np.random.default_rng(31 + 7 * n + p)
+    a, c = rng.standard_normal((n, n)), rng.standard_normal((p, n))
+    g, d, h = rng.standard_normal((n, k)), rng.standard_normal((p, k)), rng.standard_normal((k, k))
+    w = h @ h.T
+    mdl = SSModel._driven(a, c, g, d, w)
+    gd = np.vstack((g, d))
+    joint = gd @ w @ gd.T
+    tol = 1e-13 * max(1.0, np.abs(joint).max(initial=0.0))
+    for got, want in ((mdl.Q, joint[:n, :n]), (mdl.R, joint[n:, n:]), (mdl.S, joint[:n, n:])):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+        assert not got.flags.writeable
+    assert np.array_equal(mdl.Q, mdl.Q.T) and np.array_equal(mdl.R, mdl.R.T)
+    assert mdl.A is a and mdl.C is c and mdl.partition is None
 
 
 def test_models_the_package_computes_are_not_read_again(monkeypatch):
@@ -590,9 +611,9 @@ def test_models_the_package_computes_are_not_read_again(monkeypatch):
     reads = []
     read = ssgc.model._as_matrix
 
-    def counted(value, name):
+    def counted(value, name, *ndim):
         reads.append(name)
-        return read(value, name)
+        return read(value, name, *ndim)
 
     monkeypatch.setattr(ssgc.model, "_as_matrix", counted)
     calls = {
@@ -600,6 +621,7 @@ def test_models_the_package_computes_are_not_read_again(monkeypatch):
         "downsample_iss": lambda: downsample_iss(joint, 3),
         "apply_fir_filter": lambda: apply_fir_filter(joint, filt),
         "as_ss": joint.as_ss,
+        "autocovariance_of_iss": lambda: autocovariance_of_iss(joint, 3),
         "to_iss": var1.to_iss,
     }
     for label, call in calls.items():
@@ -673,7 +695,7 @@ def test_solve_lyapunov_is_the_riccati_core_with_no_outputs(n):
     g = rng.standard_normal((n, n))
     w = g @ g.T
     p = solve_lyapunov(a, w)
-    sol = riccati_fixed_point(a, np.zeros((0, n)), w, np.zeros((0, 0)), np.zeros((n, 0)))
+    sol = riccati_fixed_point(SSModel(a, np.zeros((0, n)), w, np.zeros((0, 0)), np.zeros((n, 0))))
     assert np.linalg.norm(p - sol.P) <= 1e-13 * np.linalg.norm(p)
 
 

@@ -1,4 +1,8 @@
-"""The public surface: each module's ``__all__`` is the one list of its names."""
+"""The public surface (each module's ``__all__`` is the one list of its
+names) and rules that hold across the package's source."""
+
+import inspect
+from pathlib import Path
 
 import ssgc
 from ssgc import dare, downsample, errors, filtering, fitting, gem, model, submodel, sweep, var1
@@ -36,3 +40,16 @@ def test_earlier_names_are_still_exported():
     assert len(EARLIER_NAMES) == 49
     assert EARLIER_NAMES <= set(ssgc.__all__)
     assert set(ssgc.__all__) - EARLIER_NAMES == {"Check", "PbhResult"}
+
+
+def test_one_cholesky_rule():
+    """np.linalg.cholesky is called in one place, model._cholesky, so every
+    failed factorization is a named PreconditionError."""
+    source, first = inspect.getsourcelines(model._cholesky)
+    inside = range(first, first + len(source))
+    calls = []
+    for path in sorted(Path(ssgc.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if "np.linalg.cholesky(" in line:
+                calls.append((path.name, number))
+    assert [(name, n in inside) for name, n in calls] == [("model.py", True)]
