@@ -7,12 +7,13 @@ innovation covariance solve the DARE of
     (A^m, C, [Q_m, V, S_m]),  S_m = A^{m-1} K V,
     Q_1 = K V K^T,            Q_j = A Q_{j-1} A^T + K V K^T,
 
-where Q_1 and S_1 = K V are the noise of ``ISSModel.as_ss``.
+where Q_1 and S_1 = K V are the noise of ``ISSModel.as_ss``.  The triple
+(A^m, Q_m, S_m) is formed by squaring, a steps then b steps joining as
+(A^b A^a, Q_b + A^b Q_a A^b^T, A^b S_a), so any integer m >= 1 is exact in
+O(log m) matrix products.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .dare import solve_dare
 from .model import ISSModel, SSModel, _is_int, require_stationary
@@ -41,13 +42,18 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     if m == 1:
         return model
 
+    # (a_b, q_b) is the triple of b = 2^j steps; (a_m, q_m, s_m) that of one
+    # step joined with the bits of m - 1 below 2^j.
     noise = model.as_ss()
-    q = noise.Q
-    for _ in range(m - 1):
-        q = model.A @ q @ model.A.T + noise.Q
-        q = 0.5 * (q + q.T)
-    a_m = np.linalg.matrix_power(model.A, m)
-    s_m = np.linalg.matrix_power(model.A, m - 1) @ noise.S
+    a_b, q_b = model.A, noise.Q
+    a_m, q_m, s_m = a_b, q_b, noise.S
+    k = m - 1
+    while k:
+        if k & 1:
+            a_m, q_m, s_m = a_b @ a_m, q_b + a_b @ q_m @ a_b.T, a_b @ s_m
+        k >>= 1
+        if k:
+            a_b, q_b = a_b @ a_b, q_b + a_b @ q_b @ a_b.T
 
-    sol = solve_dare(SSModel._build(a_m, model.C, q, noise.R, s_m))
+    sol = solve_dare(SSModel._build(a_m, model.C, q_m, noise.R, s_m))
     return ISSModel._build(a_m, model.C, sol.K, sol.V, partition=model.partition)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import _as_matrix, _check_symmetric, _cholesky, _is_int
+from .model import _as_matrix, _cholesky, _is_int, _read_var
 
 __all__ = ["TimeSeries", "fit_var_ols", "simulate_var"]
 
@@ -77,28 +77,27 @@ def fit_var_ols(series: TimeSeries | np.ndarray, order: int):
 def simulate_var(coefficients, sigma, steps: int, rng: np.random.Generator, burn_in: int = 500):
     """Draw a Gaussian VAR sample path, discarding a transient prefix.
 
-    steps must be a positive and burn_in a nonnegative integer, every lag and
-    sigma a finite 2-D array (``_as_matrix``) of one square shape, and sigma
-    symmetric (ValueError).
+    The VAR(r) is read by ``model._read_var`` (ValueError, as ``var_to_iss``
+    raises it), and each step is one product with its stacked lags:
+    z[t] = e[t] + [A_1 ... A_r] [z[t-1]; ...; z[t-r]], from r zero start
+    values.  steps must be a positive and burn_in a nonnegative integer
+    (ValueError).  PreconditionError when sigma is not positive definite, or
+    when the path overflows to non-finite values (an explosive VAR; a path
+    that grows but stays finite is returned as it is).
     """
-    coeffs = [_as_matrix(a, f"coefficients[{i}]") for i, a in enumerate(coefficients)]
-    if not coeffs:
-        raise ValueError("need at least one lag coefficient matrix")
-    sig = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
-    p = coeffs[0].shape[0]
-    if any(a.shape != (p, p) for a in coeffs) or sig.shape != (p, p):
-        raise ValueError("coefficient and covariance matrices must share one square shape")
+    c, sig, order = _read_var(coefficients, sigma)
     if not (_is_int(steps) and _is_int(burn_in)) or steps < 1 or burn_in < 0:
         raise ValueError("steps must be a positive integer and burn_in a nonnegative integer")
     noise_factor = _cholesky(sig, "innovation covariance must be positive definite")
 
-    order = len(coeffs)
     total = steps + burn_in
-    shocks = rng.standard_normal((total + order, p)) @ noise_factor.T
-    out = np.zeros((total + order, p))
-    for t in range(order, total + order):
-        acc = shocks[t].copy()
-        for k, a in enumerate(coeffs, start=1):
-            acc += a @ out[t - k]
-        out[t] = acc
+    shocks = rng.standard_normal((total + order, len(sig))) @ noise_factor.T
+    out = np.zeros_like(shocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(order, total + order):
+            out[t] = shocks[t] + c @ out[t - order : t][::-1].ravel()
+    if not np.isfinite(out).all():
+        raise PreconditionError(
+            "VAR is explosive: its simulated path overflows to non-finite values"
+        )
     return out[order + burn_in :]

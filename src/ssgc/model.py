@@ -732,26 +732,32 @@ def var_to_iss(
     PreconditionError
         If the companion matrix is unstable or sigma is not positive definite.
     """
-    coeffs = [_as_matrix(c, f"coefficients[{i}]") for i, c in enumerate(coefficients)]
-    if len(coeffs) < 1:
-        raise ValueError("need at least one lag coefficient matrix")
-    p = coeffs[0].shape[0]
-    if any(c.shape != (p, p) for c in coeffs):
-        raise ValueError("all lag coefficients must be square with equal size")
-    sigma = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
-    if sigma.shape != (p, p):
-        raise ValueError("sigma shape does not match the coefficients")
-    if partition is not None and partition.p != p:
+    c, sigma, _ = _read_var(coefficients, sigma)
+    if partition is not None and partition.p != len(sigma):
         raise ValueError("partition does not match the output dimension")
-    return _companion_iss(coeffs, sigma, partition)
+    return _companion_iss(c, sigma, partition)
 
 
-def _companion_iss(coeffs: list, sigma: np.ndarray, partition: JointPartition | None) -> ISSModel:
-    """``var_to_iss`` on lag matrices, a sigma and a partition already read and checked."""
+def _read_var(coefficients, sigma) -> tuple[np.ndarray, np.ndarray, int]:
+    """The one reader of a VAR(r) argument: (C, sigma, r), C = [A_1 ... A_r]
+    the (p, rp) stacked lags.  Each lag is read as ``coefficients[i]`` and
+    sigma as a symmetric matrix (``_as_matrix``); ValueError when there is no
+    lag or a lag does not have sigma's square shape."""
+    lags = [_as_matrix(a, f"coefficients[{i}]") for i, a in enumerate(coefficients)]
+    if not lags:
+        raise ValueError("need at least one lag coefficient matrix")
+    sigma = _check_symmetric(_as_matrix(sigma, "sigma"), "sigma")
+    for i, a in enumerate(lags):
+        if a.shape != sigma.shape:
+            raise ValueError(f"coefficients[{i}] has shape {a.shape}, not sigma's {sigma.shape}")
+    return np.hstack(lags), sigma, len(lags)
+
+
+def _companion_iss(c: np.ndarray, sigma: np.ndarray, partition: JointPartition | None) -> ISSModel:
+    """``var_to_iss`` on stacked lags C = [A_1 ... A_r], a sigma and a partition
+    already read and checked."""
     _cholesky(sigma, "sigma must be positive definite")
-    p = len(sigma)
-    n = len(coeffs) * p
-    c = np.hstack(coeffs)
+    p, n = c.shape
     companion = np.eye(n, k=-p)  # the shift rows [I 0] below the lag rows C
     companion[:p] = c
     rho = _radius_if_unstable(companion)
@@ -769,9 +775,7 @@ def spectrum_of_iss(model: ISSModel, grid: np.ndarray | None = None) -> Spectral
     require_stationary(model)
     grid = default_grid() if grid is None else _check_grid(grid)
     h = model.frequency_response(grid)
-    f = np.einsum("nij,jk,nlk->nil", h, model.V, h.conj())
-    f = 0.5 * (f + f.conj().transpose(0, 2, 1))
-    return SpectralCurve(grid, f)
+    return SpectralCurve(grid, np.einsum("nij,jk,nlk->nil", h, model.V, h.conj()))
 
 
 def _converged(step: np.ndarray, p: np.ndarray, tol: float) -> bool:

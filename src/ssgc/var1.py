@@ -69,8 +69,9 @@ class Var1Model:
         object.__setattr__(self, "sigma", s)
 
     def to_iss(self) -> ISSModel:
-        """``var_to_iss([A], sigma)``, on the matrices this model has already read."""
-        return _companion_iss([self.A], self.sigma, JointPartition(1, 1))
+        """``var_to_iss([A], sigma)``, on the matrices this model has already read
+        (A is the r = 1 stack of lags)."""
+        return _companion_iss(self.A, self.sigma, JointPartition(1, 1))
 
 
 def design_var1(design: Var1Design) -> Var1Model:

@@ -1,11 +1,14 @@
 """Point-sampling of ISS models at rate m."""
 
+import time
+
 import numpy as np
 import pytest
 
 from ssgc import autocovariance_of_iss, downsample_iss, validate_iss
 
 from support import (
+    bivariate_var,
     random_iss,
     toeplitz_innovations,
     triangular_unidirectional,
@@ -31,6 +34,20 @@ def test_unit_factor_returns_model_unchanged():
     rng = np.random.default_rng(31)
     mdl = random_iss(rng)
     assert downsample_iss(mdl, 1) is mdl
+
+
+def test_huge_factors_reach_the_white_noise_limit_fast():
+    """A^m, Q_m and S_m are formed by squaring, so the time grows with log m:
+    at m = 2^40 and 10^12 + 7 a stable A^m is 0, and the sampled process is
+    white with V = Gamma(0)."""
+    mdl = bivariate_var(np.random.default_rng(36), 2)
+    gamma0 = autocovariance_of_iss(mdl, 0)[0]
+    for m in (2**40, 10**12 + 7):
+        started = time.perf_counter()
+        down = downsample_iss(mdl, m)
+        assert time.perf_counter() - started < 1.0
+        assert not down.A.any() and not down.K.any()
+        assert np.abs(down.V - gamma0).max() < 1e-12
 
 
 def test_factor_must_be_positive_integer():

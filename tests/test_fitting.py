@@ -76,11 +76,37 @@ def test_simulation_is_reproducible_and_burned_in():
     skew = np.array([[1.0, 0.9], [-0.9, 1.0]])  # not read by its lower triangle alone
     with pytest.raises(ValueError, match="^sigma must be symmetric$"):
         simulate_var([np.zeros((2, 2))], skew, 10, np.random.default_rng(6))
-    # No lags is named as var_to_iss names it, not an IndexError.
-    for entry in (lambda: simulate_var([], sigma, 10, np.random.default_rng(6)),
-                  lambda: var_to_iss([], sigma)):
-        with pytest.raises(ValueError, match="^need at least one lag coefficient matrix$"):
-            entry()
+    # Every malformed VAR is named by the one reader, the same from both
+    # entries (no lags too: not an IndexError).
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    shape = r"^coefficients\[{}\] has shape \({}\), not sigma's \(2, 2\)$"
+    malformed = [
+        ([], eye, "^need at least one lag coefficient matrix$"),
+        ([zero, np.zeros((3, 3))], eye, shape.format(1, "3, 3")),
+        ([np.zeros((2, 3))], eye, shape.format(0, "2, 3")),
+        ([np.zeros((3, 3))], eye, shape.format(0, "3, 3")),
+        ([zero], np.zeros((2, 3)), "^sigma must be symmetric$"),
+    ]
+    for bad, message in BAD_MATRICES:
+        malformed += [([zero, bad], eye, rf"^coefficients\[1\] {message}"),
+                      ([zero], bad, f"^sigma {message}")]
+    for coefficients, cov, pattern in malformed:
+        messages = []
+        for entry in (lambda: simulate_var(coefficients, cov, 10, np.random.default_rng(6)),
+                      lambda: var_to_iss(coefficients, cov)):
+            with pytest.raises(ValueError, match=pattern) as raised:
+                entry()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
+def test_explosive_simulation_is_named():
+    """A path that overflows is a PreconditionError, not NaN and inf entries;
+    one that grows but stays finite is returned as it is."""
+    with pytest.raises(PreconditionError, match="^VAR is explosive"):
+        simulate_var([1.5 * np.eye(2)], np.eye(2), 2000, np.random.default_rng(7))
+    growing = simulate_var([1.01 * np.eye(2)], np.eye(2), 200, np.random.default_rng(7), burn_in=0)
+    assert np.isfinite(growing).all() and np.abs(growing).max() > 10
 
 
 def test_fit_rejects_short_records_and_collinearity():

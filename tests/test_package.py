@@ -42,14 +42,38 @@ def test_earlier_names_are_still_exported():
     assert set(ssgc.__all__) - EARLIER_NAMES == {"Check", "PbhResult"}
 
 
+def _lines_with(text):
+    """(file name, line number) of every line of the package's source holding text."""
+    return [
+        (path.name, number)
+        for path in sorted(Path(ssgc.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if text in line
+    ]
+
+
+def _lines_of(fn):
+    source, first = inspect.getsourcelines(fn)
+    return range(first, first + len(source))
+
+
 def test_one_cholesky_rule():
     """np.linalg.cholesky is called in one place, model._cholesky, so every
     failed factorization is a named PreconditionError."""
-    source, first = inspect.getsourcelines(model._cholesky)
-    inside = range(first, first + len(source))
-    calls = []
-    for path in sorted(Path(ssgc.__file__).parent.glob("*.py")):
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
-            if "np.linalg.cholesky(" in line:
-                calls.append((path.name, number))
+    inside = _lines_of(model._cholesky)
+    calls = _lines_with("np.linalg.cholesky(")
     assert [(name, n in inside) for name, n in calls] == [("model.py", True)]
+
+
+def test_one_var_reader():
+    """A VAR(r) argument is read in one place, model._read_var: only it names
+    the lags coefficients[i], so var_to_iss and simulate_var share its messages."""
+    inside = _lines_of(model._read_var)
+    sites = _lines_with("coefficients[")
+    assert sites and all(name == "model.py" and n in inside for name, n in sites)
+
+
+def test_no_matrix_power():
+    """Powers of A are formed by squaring (downsample_iss joins its step
+    triples over the bits of m), never by np.linalg.matrix_power."""
+    assert _lines_with("np.linalg.matrix_power(") == []
