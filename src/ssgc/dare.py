@@ -25,6 +25,8 @@ when every eigenvalue is above rounding level and sqrt(lambda_min) exceeds
 twice the staircase's first floor PBH_TOL * max(1, sqrt(lambda_max)), that
 factor alone spans the state, so (A_s, Q_s^(1/2)) is controllable and St
 holds with no PBH test.  Every other case, and De always, runs ``pbh_test``.
+The checks and the core's start at Pi = 0 share one P = 0 gain pass per
+model, ``_start_pass``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,20 @@ def _gain_pass(a, c, q, r, s, p, iterations: int):
     return k, v, f - m @ k.T
 
 
+def _start_pass(model: SSModel):
+    """``_gain_pass`` at P = 0, (K_0, R, Q_s), frozen and remembered for the
+    last model object (``model._remembered``): ``_check_preconditions`` and
+    the core's start at P = 0 share one pass per ``solve_dare``."""
+
+    def compute():
+        values = _gain_pass(model.A, model.C, model.Q, model.R, model.S, None, 0)
+        for m in values:
+            m.setflags(write=False)
+        return values
+
+    return _model._remembered("start pass", model, None, compute)
+
+
 def _hewer(a, c, q, r, s, k) -> np.ndarray:
     """Newton-Hewer step: the P of the gain K, solving
     P = (A - K C) P (A - K C)^T + [I, -K] [[Q, S], [S^T, R]] [I, -K]^T;
@@ -127,6 +143,7 @@ def riccati_fixed_point(model: SSModel, p0=None, keep_history: bool = False) -> 
     history: list[np.ndarray] | None = [] if keep_history else None
     if p0 is None:
         pi, done = np.zeros(a.shape), 0
+        k, v, f_pi = _start_pass(model)
     else:
         p0 = _as_matrix(p0, "p0")
         if p0.shape != a.shape:
@@ -136,7 +153,7 @@ def riccati_fixed_point(model: SSModel, p0=None, keep_history: bool = False) -> 
         if history is not None:
             history.append(pi.copy())
         pi = _hewer(a, c, q, r, s, _gain_pass(a, c, q, r, s, pi, 0)[0])
-    k, v, f_pi = _gain_pass(a, c, q, r, s, None if p0 is None else pi, done)
+        k, v, f_pi = _gain_pass(a, c, q, r, s, pi, done)
     if history is not None:
         history.append(pi.copy())
     # Doubling on X = P - Pi from A_0 = (A - K(Pi) C)^T, G_0 = C^T V(Pi)^{-1} C
@@ -168,7 +185,7 @@ def _check_preconditions(model: SSModel) -> None:
     _cholesky(model.R, "condition N violated: R is not positive definite")
 
     # St on the P = 0 pass the core starts from: A_s = A - K_0 C and Q_s = F(0).
-    k0, _, q_s = _gain_pass(model.A, model.C, model.Q, model.R, model.S, None, 0)
+    k0, _, q_s = _start_pass(model)
     eigvals, vecs = np.linalg.eigh(q_s)
     # With R > 0, [[Q, S], [S^T, R]] is PSD exactly when its Schur complement Q_s is.
     top = max(float(np.abs(m).max(initial=0.0)) for m in (model.Q, model.S, model.R))

@@ -21,6 +21,7 @@ exact finite-sum chi-squared tail of its integer degrees of freedom.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -157,6 +158,11 @@ def gem_frequency(
     minimum phase; each zero of det H_ex outside the unit circle lowers the
     integral below the time-domain value by twice its log modulus (Jensen),
     and strongly coupled models do exhibit such zeros.
+
+    The stationarity verdict and H are remembered for the last model object
+    (``require_stationary``, ``ISSModel.frequency_response``), so the second
+    direction on the same model and grid evaluates neither again; at most
+    one H is held, and each call's H is its own copy.
     """
     part = joint.require_partition()
     require_stationary(joint)
@@ -253,7 +259,9 @@ def chi2_test(
     Parameters
     ----------
     fhat : float
-        Estimated measure (nonnegative).
+        Estimated measure: a real, finite, nonnegative scalar (a Python or
+        numpy number, not a bool, an array or a complex number), else
+        ValueError.
     n_obs : int
         Sample size T; the statistic is T * fhat.
     state_dim : int
@@ -264,7 +272,8 @@ def chi2_test(
         Which null is tested; degrees of freedom are 2 n px py, px py and
         (2 n + 1) px py respectively.
     """
-    if fhat < 0 or not math.isfinite(fhat):
+    real = isinstance(fhat, numbers.Real) and not isinstance(fhat, bool)
+    if not (real and math.isfinite(fhat) and fhat >= 0):
         raise ValueError("fhat must be finite and nonnegative")
     if not all(_is_int(v) and v >= 1 for v in (n_obs, state_dim, px, py)):
         raise ValueError("n_obs, state_dim, px and py must be positive integers")

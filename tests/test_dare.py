@@ -1,5 +1,6 @@
 """Riccati fixed-point solver: correctness, diagnostics, preconditions."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -36,6 +37,31 @@ def scalar_fixed_point(a, c, q, r, s):
         if abs(a - k * c) < 1.0:
             return p
     raise AssertionError("no stabilizing root found")
+
+
+def test_solve_dare_takes_one_start_pass(monkeypatch):
+    """The P = 0 gain pass is formed once per model, for the precondition
+    check and the core's start; a pass whose Cholesky fails stores nothing."""
+    starts = []
+    real = ssgc.dare._gain_pass
+
+    def gain_pass(a, c, q, r, s, p, iterations):
+        if p is None:
+            starts.append(a)
+        return real(a, c, q, r, s, p, iterations)
+
+    monkeypatch.setattr(ssgc.dare, "_gain_pass", gain_pass)
+    model = random_ss(np.random.default_rng(16))
+    want = riccati_fixed_point(dataclasses.replace(model))
+    assert len(starts) == 1
+    got = solve_dare(model)
+    assert len(starts) == 2
+    assert np.array_equal(got.P, want.P) and np.array_equal(got.K, want.K)
+    bad = dataclasses.replace(model, R=-model.R)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="innovation covariance"):
+            riccati_fixed_point(bad)
+    assert len(starts) == 4
 
 
 def test_matches_scalar_closed_form():

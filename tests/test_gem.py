@@ -1,8 +1,12 @@
 """Causality measures: time domain, frequency domain, classification, tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
+
+import ssgc.model
 
 from ssgc import (
     GemSummary,
@@ -251,11 +255,48 @@ def test_chi2_rejects_bad_inputs():
         chi2_test(np.inf, 100, 1, 1, 1)
     with pytest.raises(ValueError):
         chi2_test(0.1, 100, 1, 1, 1, kind="both")
+    # fhat: a real, non-bool scalar
+    for fhat in (None, 0.5 + 0j, np.complex128(0.5), "0.5", np.array([0.5]), np.array(0.5),
+                 True, np.True_):
+        with pytest.raises(ValueError, match="fhat must be finite and nonnegative"):
+            chi2_test(fhat, 100, 1, 1, 1)
+    assert chi2_test(np.float64(0.5), 100, 1, 1, 1) == chi2_test(0.5, 100, 1, 1, 1)
     # n_obs, state_dim, px and py: positive Python or numpy integers, not bools
     for sizes in ((0, 1, 1, 1), (100, 1.5, 1, 1), (100, 1, True, 1), (100.5, 1, 1, 1),
                   (100, 1, 1, 1.0), (100, 1, 1, np.float64(2.0))):
         with pytest.raises(ValueError, match="must be positive integers"):
             chi2_test(1.0, *sizes)
+
+
+def test_measures_of_one_model_share_its_transfer_and_stationarity(monkeypatch):
+    """gem_time_domain decides the joint model's stationarity once, a
+    gem_frequency pair evaluates its H once, and both directions equal those
+    of a fresh copy of the model, bit for bit."""
+    joint = bivariate_var(np.random.default_rng(15), 3)
+    grid = default_grid(256)
+    transfers, verdicts = [], []
+    real_transfer, real_radius = ssgc.model._transfer_uniform, ssgc.model._radius_if_unstable
+
+    def transfer(*args):
+        transfers.append(args)
+        return real_transfer(*args)
+
+    def radius(a, *rest):
+        if a is joint.A:
+            verdicts.append(a)
+        return real_radius(a, *rest)
+
+    monkeypatch.setattr(ssgc.model, "_transfer_uniform", transfer)
+    monkeypatch.setattr(ssgc.model, "_radius_if_unstable", radius)
+    gem_time_domain(joint)
+    assert len(verdicts) == 1
+    pair = [gem_frequency(joint, grid, d) for d in ("y->x", "x->y")]
+    assert len(transfers) == 1 and len(verdicts) == 1
+    for got, d in zip(pair, ("y->x", "x->y")):
+        want = gem_frequency(dataclasses.replace(joint), grid, d)
+        assert got.integral == want.integral
+        assert np.array_equal(got.curve.values, want.curve.values)
+    assert len(transfers) == 3
 
 
 def test_measures_need_partition_and_stationarity():

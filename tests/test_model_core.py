@@ -1,10 +1,12 @@
 """Model containers, structural validation and second-order statistics."""
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -522,6 +524,30 @@ def test_require_stationary_raises():
         require_stationary(mdl)
 
 
+def test_require_stationary_decides_once_per_model(monkeypatch):
+    """The verdict is remembered for the last model object: a second model of
+    equal arrays is decided afresh, and an unstable model raises every time."""
+    mdl = random_iss(np.random.default_rng(12))
+    calls = []
+    real = ssgc.model._radius_if_unstable
+
+    def radius(a, *rest):
+        calls.append(a)
+        return real(a, *rest)
+
+    monkeypatch.setattr(ssgc.model, "_radius_if_unstable", radius)
+    require_stationary(mdl)
+    require_stationary(mdl)
+    assert len(calls) == 1
+    require_stationary(dataclasses.replace(mdl))
+    assert len(calls) == 2
+    unstable = ISSModel(np.array([[1.0]]), np.eye(1), np.eye(1), np.eye(1))
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match=r"spectral radius\(A\) = 1$"):
+            require_stationary(unstable)
+    assert len(calls) == 3
+
+
 def test_var_to_iss_companion_structure():
     rng = np.random.default_rng(3)
     a1 = stable_matrix(rng, 2, radius=0.4)
@@ -785,6 +811,67 @@ def test_frequency_response_checks_its_grid():
     pole = ISSModel([[1.0]], [[1.0]], [[0.5]], [[1.0]])
     with pytest.raises(PreconditionError, match="eigenvalue of A"):
         pole.frequency_response([-1.0, 0.0, 1.0])
+
+
+def test_frequency_response_remembers_one_model_and_grid(monkeypatch):
+    """H is evaluated once per model object and grid; a second grid or a
+    second model of equal arrays is evaluated afresh, the caller owns every
+    returned array, and the grid is checked on every call."""
+    mdl = random_iss(np.random.default_rng(13), n=4)
+    calls = []
+    real = ssgc.model._transfer_uniform
+
+    def transfer(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ssgc.model, "_transfer_uniform", transfer)
+    grid = default_grid(64)
+    h = mdl.frequency_response(grid)
+    again = mdl.frequency_response(list(grid))
+    assert len(calls) == 1
+    assert again is not h and np.array_equal(again, h)
+    h[:] = 0.0
+    assert np.array_equal(mdl.frequency_response(grid), again)
+    assert len(calls) == 1
+    shifted = mdl.frequency_response(grid + 0.01)
+    assert len(calls) == 2
+    assert _relative_error(shifted, transfer_function_pointwise(mdl, grid + 0.01)) < 1e-12
+    assert np.array_equal(mdl.frequency_response(grid), again)
+    assert len(calls) == 3
+    assert np.array_equal(dataclasses.replace(mdl).frequency_response(grid), again)
+    assert len(calls) == 4
+    for bad, message in (([0.0, 1.0, 1.0], "strictly increasing"), (grid[::-1], "increasing"),
+                         (np.append(grid, np.nan), "non-finite"), *BAD_GRIDS):
+        with pytest.raises(ValueError, match=message):
+            mdl.frequency_response(bad)
+    assert len(calls) == 4
+
+
+def test_remembered_model_is_not_kept_alive():
+    mdl = random_iss(np.random.default_rng(14))
+    require_stationary(mdl)
+    mdl.frequency_response(default_grid(32))
+    extract_submodel(mdl, "x")
+    ref = weakref.ref(mdl)
+    del mdl
+    gc.collect()
+    assert ref() is None
+
+
+def test_remembered_transfer_is_held_off_the_heap():
+    """The memo's copy of H lives in pages of its own, so once the caller
+    drops its H the package holds no more heap memory than the key grid."""
+    mdl = random_iss(np.random.default_rng(17), n=4)
+    grid = default_grid(4096)
+    tracemalloc.start()
+    try:
+        h = mdl.frequency_response(grid)
+        del h
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * len(grid) * mdl.p**2
 
 
 def _relative_error(got, want):

@@ -73,6 +73,21 @@ def test_one_var_reader():
     assert sites and all(name == "model.py" and n in inside for name, n in sites)
 
 
+def test_one_memo():
+    """Values are remembered in one place, model._remembered: weak references
+    and module-level rebinding (a global statement) appear nowhere else, so
+    no second cache holds models or their arrays."""
+    inside = _lines_of(model._remembered)
+    (import_line,) = _lines_with("import weakref")
+    rebinds = [site for site in _lines_with("global ") if _line(*site).lstrip().startswith("global ")]
+    sites = [site for site in _lines_with("weakref") + rebinds if site != import_line]
+    assert sites and all(name == "model.py" and n in inside for name, n in sites)
+
+
+def _line(name, number):
+    return (Path(ssgc.__file__).parent / name).read_text().splitlines()[number - 1]
+
+
 def test_no_matrix_power():
     """Powers of A are formed by squaring (downsample_iss joins its step
     triples over the bits of m), never by np.linalg.matrix_power."""
