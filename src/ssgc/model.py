@@ -11,11 +11,14 @@ also provides the PBH controllability, stabilizability and detectability
 tests (one orthogonal staircase rule for all three), VAR-to-ISS conversion,
 transfer function and spectral evaluation, and autocovariance sequences.
 One memo, ``_remembered``, keeps the last model's stationarity verdict,
-transfer function and Riccati start pass, one value of each kind.
+transfer function and Riccati start pass, one value of each kind;
+``validate_iss`` decides stationarity from the eigenvalues it reports,
+which also settle its detectability premise, and fills that slot.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import mmap
 import weakref
@@ -40,6 +43,7 @@ DEFAULT_GRID_SIZE = 4096
 DENSE_CHUNK_BYTES = 64 * 2**20
 # A squaring whose 1-norm passes this ends the certificate before it can overflow.
 _SQUARING_NORM_CAP = 1e100
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "JointPartition",
@@ -158,15 +162,19 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max()) if a.size else 0.0
 
 
-def _certified_stable(power: np.ndarray, j: int) -> bool:
-    """True if a squaring proves rho(A) < 1 - STABILITY_MARGIN, given power = A^(2^j).
+def _squaring_verdict(power: np.ndarray, j: int) -> bool | None:
+    """The squaring certificate's verdict on rho(A) < 1 - STABILITY_MARGIN,
+    given power = A^(2^j): True when proved, False when disproved, None when
+    the squarings decide nothing.
 
     By Gelfand's bound rho(A)^m <= ||A^m||, a squaring A^(2^i), i >= j, of
-    1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.  False when none is
-    found: once that bound underflows to 0 (at i = 50), or once the norm passes
-    _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows.
-    Also False once |tr A^(2^i)| >= n (1 - STABILITY_MARGIN)^(2^i), which proves
-    rho(A) >= 1 - STABILITY_MARGIN (|tr A^m| <= n rho^m), so no certificate exists.
+    1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.  |tr A^(2^i)| >=
+    n (1 - STABILITY_MARGIN)^(2^i) ends the squarings, since no proof exists
+    (|tr A^m| <= n rho^m), and disproves it once the excess also clears the
+    rounding the squarings may carry, n 2^i eps ||A^(2^i)||_1.  None once
+    the bound underflows to 0 (at i = 50), once the norm passes
+    _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows, or
+    when the excess is within rounding.
     """
     for i in itertools.count(j):
         bound = (1.0 - STABILITY_MARGIN) ** (2**i)
@@ -174,14 +182,22 @@ def _certified_stable(power: np.ndarray, j: int) -> bool:
         if norm < bound:
             return True
         if not (bound > 0.0 and norm <= _SQUARING_NORM_CAP):
-            return False
-        if abs(power.trace()) >= len(power) * bound:
-            return False
+            return None
+        excess = abs(power.trace()) - len(power) * bound
+        if excess >= 0.0:
+            return False if excess > len(power) * 2.0**i * _EPS * norm else None
         power = power @ power
 
 
+def _certified_stable(power: np.ndarray, j: int) -> bool:
+    """True if a squaring proves rho(A) < 1 - STABILITY_MARGIN, given power =
+    A^(2^j) (``_squaring_verdict``)."""
+    return _squaring_verdict(power, j) is True
+
+
 def _radius_if_unstable(a: np.ndarray, power: np.ndarray | None = None, j: int = 0) -> float | None:
-    """The one stability rule: None when rho(a) < 1 - STABILITY_MARGIN, else rho(a).
+    """The one stability rule with its radius: None when rho(a) < 1 -
+    STABILITY_MARGIN, else rho(a).
 
     A squaring certificate, from power = a^(2^j) when given, decides most
     stable matrices without an eigenvalue; otherwise the verdict is
@@ -195,8 +211,10 @@ def _radius_if_unstable(a: np.ndarray, power: np.ndarray | None = None, j: int =
 
 
 def _is_stable(a: np.ndarray) -> bool:
-    """rho(a) < 1 - STABILITY_MARGIN, by the one stability rule."""
-    return _radius_if_unstable(a) is None
+    """rho(a) < 1 - STABILITY_MARGIN, by the one stability rule: the squaring
+    verdict, proof or disproof, and the eigenvalues only when it has none."""
+    verdict = _squaring_verdict(a, 0)
+    return spectral_radius(a) < 1.0 - STABILITY_MARGIN if verdict is None else verdict
 
 
 def default_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -244,7 +262,7 @@ def _cholesky(mat: np.ndarray, message: str) -> np.ndarray:
 
 def _grid_tol(grid: np.ndarray) -> float:
     """Rounding tolerance on frequencies of the magnitude found in grid."""
-    return 16.0 * np.finfo(float).eps * max(2.0 * np.pi, float(np.abs(grid).max(initial=0.0)))
+    return 16.0 * _EPS * max(2.0 * np.pi, float(np.abs(grid).max(initial=0.0)))
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -288,32 +306,23 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
     A stays real): O(sqrt(N) p n^2 + N p^2 n + n^3 log N) time and
     O(sqrt(N) p n + N p^2 + n^2 log N) memory.
     """
-    n_pts, n = len(grid), a.shape[0]
+    n_pts = len(grid)
     step = 2.0 * np.pi / n_pts
     if not np.abs(grid - (grid[0] + step * np.arange(n_pts))).max() <= _grid_tol(grid):
         return None  # not uniform
-    # Squares A^(2^j) for 2^j <= N, with their excesses A^(2^j) - I kept apart,
-    # E_2b = E_b (A^b + I), so that a root near +-1 keeps its small 1 - mu^N;
-    # A^N - I folds over the set bits of N as they come, by
-    # A^(a+b) - I = (A^a - I) A^b + (A^b - I).
-    eye = np.eye(n)
-    squares, ex, excess = [a], a - eye, np.zeros((n, n))
+    squares = [a]  # A^(2^j) for 2^j <= N
     with np.errstate(all="ignore"):  # an unstable A may overflow; it is rejected below
-        for j in range(n_pts.bit_length()):
-            if j:
-                ex = ex @ (squares[-1] + eye)
-                squares.append(squares[-1] @ squares[-1])
-            if n_pts >> j & 1:
-                excess = excess @ squares[-1] + ex
+        for _ in range(1, n_pts.bit_length()):
+            squares.append(squares[-1] @ squares[-1])
         # rho(A) < 1 makes I - w A^N invertible; certify it from the last square.
-        stable = _certified_stable(squares[-1], len(squares) - 1)
-    if not (stable and np.isfinite(excess).all()):
-        return None
+        if not _certified_stable(squares[-1], len(squares) - 1):
+            return None
     # Shift the grid by whole steps so |lambda_0| <= step / 2 and every phase stays small.
     shift = int(np.rint(grid[0] / step))
     lam0 = grid[0] - shift * step
-    omega = np.exp(-1j * n_pts * lam0)
-    gain = np.linalg.solve((1.0 - omega) * eye - omega * excess, k)  # (I - w A^N)^{-1} K
+    gain = _aliasing_gain(squares, k, n_pts, np.exp(-1j * n_pts * lam0))
+    if gain is None:
+        return None
     # C A^(js+i) G: baby rows C A^i times giant columns A^(js) [Re G, Im G] (Paterson & Stockmeyer).
     level = (n_pts - 1).bit_length() // 2
     s, p, q = 1 << level, c.shape[0], k.shape[1]
@@ -326,6 +335,33 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
     markov *= np.exp(-1j * lam0 * np.arange(n_pts))[:, None, None]
     h = np.roll(np.fft.fft(markov, axis=0), -shift, axis=0)
     return np.exp(-1j * grid)[:, None, None] * h
+
+
+def _aliasing_gain(squares, k: np.ndarray, n_pts: int, omega: complex) -> np.ndarray | None:
+    """G = (I - w A^N)^{-1} K from squares = [A, A^2, ..., A^(2^j)], 2^j <= N,
+    or None when it is not finite.
+
+    A^N is the product of the squares at the set bits of N.  Once
+    ||A^N||_1 <= eps, G = K to working precision (||G - K||_1 <= eps ||G||_1),
+    and it is returned without the excess chain or the solve.  Otherwise the
+    excesses A^(2^j) - I are kept apart, E_2b = E_b (A^b + I), so that a root
+    near +-1 keeps its small 1 - mu^N, A^N - I folds over the set bits of N
+    by A^(a+b) - I = (A^a - I) A^b + (A^b - I), and one complex solve gives G.
+    """
+    with np.errstate(all="ignore"):
+        power = functools.reduce(np.matmul, [sq for j, sq in enumerate(squares) if n_pts >> j & 1])
+        if np.abs(power).sum(axis=0).max(initial=0.0) <= _EPS:
+            return k
+        eye = np.eye(len(k))
+        ex, excess = squares[0] - eye, np.zeros_like(eye)
+        for j, sq in enumerate(squares):
+            if j:
+                ex = ex @ (squares[j - 1] + eye)
+            if n_pts >> j & 1:
+                excess = excess @ sq + ex
+    if not np.isfinite(excess).all():
+        return None
+    return np.linalg.solve((1.0 - omega) * eye - omega * excess, k)
 
 
 def _transfer_dense(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -472,8 +508,14 @@ class SSModel(_StateSpace):
     @classmethod
     def _driven(cls, a, c, g, d, w, partition: JointPartition | None = None) -> SSModel:
         """The one noise rule: the driven model x[t+1] = A x + G w, z = C x + D w,
-        cov(w) = W, as (A, C, [G W G^T, D W D^T, G W D^T]), built by ``_build``."""
+        cov(w) = W, as (A, C, [G W G^T, D W D^T, G W D^T]), built by ``_build``.
+
+        D is a matrix, or a slice that selects rows of the identity: then
+        R = W[d, d] and S = (G W)[:, d] are read off, not multiplied.
+        """
         gw = g @ w
+        if isinstance(d, slice):
+            return cls._build(a, c, gw @ g.T, w[d, d], gw[:, d], partition=partition)
         return cls._build(a, c, gw @ g.T, d @ w @ d.T, gw @ d.T, partition=partition)
 
 
@@ -512,7 +554,14 @@ class ISSModel(_StateSpace):
         with s ~ sqrt(N) (baby steps C A^i, giant steps A^(j s) G, one product),
         in O(sqrt(N) p n^2 + N p^2 n + n^3 log N) time and
         O(sqrt(N) p n + N p^2 + n^2 log N) memory, never an (N p, n) stack of
-        rows C A^k nor an (N, n, n) stack.  Stability is
+        rows C A^k nor an (N, n, n) stack.  A^N is the product of the
+        squares at the set bits of N; once ||A^N||_1 <= eps (machine
+        epsilon), G = K to working precision (||G - K||_1 <= eps ||G||_1),
+        and the rule skips the excess chain A^N - I (one n x n product per
+        squaring) and the complex n x n solve, which leaves the squarings as
+        its only n x n steps.  Otherwise (a root near the unit circle, a
+        non-normal A, a short grid) it forms A^N - I by that chain, which
+        keeps a root near +-1 accurate, and solves for G.  Stability is
         certified by the squaring certificate of the one stability rule,
         continued from the last square A^(2^j), 2^j <= N, that the rule
         computes anyway: some A^(2^j) of 1-norm below
@@ -548,7 +597,7 @@ class ISSModel(_StateSpace):
 
     def as_ss(self) -> SSModel:
         """Equivalent general-noise form (A, C, [K V K^T, V, K V]): G = K, D = I, W = V."""
-        return SSModel._driven(self.A, self.C, self.K, np.eye(self.p), self.V, self.partition)
+        return SSModel._driven(self.A, self.C, self.K, slice(None), self.V, self.partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,8 +752,10 @@ def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
         as ``witness`` (None when the test passes) and the staircase margin.
         Stabilizability and detectability pass at once, with margin inf, when a
         has no eigenvalue of modulus >= 1 - 1e-12; that premise is decided by
-        the one stability rule ``_is_stable`` (a squaring certificate, else the
-        eigenvalues), so a certified stable a costs no eigenvalue computation.
+        the one stability rule ``_is_stable`` (a squaring certificate, or the
+        trace bound's disproof, else the eigenvalues), so a certified stable a,
+        or an a whose squarings' trace proves it unstable, costs no eigenvalue
+        computation.
     """
     a, b = _as_matrix(a, "a"), _as_matrix(b, "b")
     if a.shape[0] != a.shape[1]:
@@ -733,7 +784,16 @@ def validate_iss(model: ISSModel) -> ValidationReport:
 
     Checks V positive definite, stability of A - K C (minimum phase),
     detectability of (A, C), controllability of (A, K), and stability of A.
+    rho(A), which the report carries, is computed first: a stable A makes
+    detectability the vacuous pass (margin inf) that ``pbh_test`` would
+    return, without its squaring certificate, and its verdict fills the
+    memo's stationarity slot (``require_stationary``), so an analysis of
+    the same model object certifies nothing again.  An unstable A is still
+    tested by ``pbh_test``, with its witness.
     """
+    rho_a = spectral_radius(model.A)
+    stable = rho_a < 1.0 - STABILITY_MARGIN
+    _remembered("stationary", model, None, lambda: None if stable else rho_a)
     checks: list[Check] = []
 
     min_eig = float(np.linalg.eigvalsh(model.V).min())
@@ -742,14 +802,13 @@ def validate_iss(model: ISSModel) -> ValidationReport:
     rho_err = spectral_radius(model.A - model.K @ model.C)
     checks.append(Check("A - KC stable", rho_err < 1.0 - STABILITY_MARGIN, rho_err))
 
-    det = pbh_test(model.A, model.C.T, "detectable")
+    det = PbhResult(True, None, np.inf) if stable else pbh_test(model.A, model.C.T, "detectable")
     checks.append(Check("(A, C) detectable", det.passed, det.margin))
 
     ctr = pbh_test(model.A, model.K, "controllable")
     checks.append(Check("(A, K) controllable", ctr.passed, ctr.margin))
 
-    rho_a = spectral_radius(model.A)
-    checks.append(Check("A stable", rho_a < 1.0 - STABILITY_MARGIN, rho_a))
+    checks.append(Check("A stable", stable, rho_a))
 
     return ValidationReport(tuple(checks))
 
@@ -763,7 +822,9 @@ def require_stationary(model: ISSModel) -> None:
     is remembered (``_remembered``) for the last model object asked about,
     so the repeated checks of one analysis (both submodels of
     ``gem_time_domain``, both directions of ``gem_frequency``) decide it
-    once; an unstable model raises the same error on every call.
+    once; ``validate_iss`` fills the same slot from the eigenvalues it
+    reports, so an analysis after it decides nothing.  An unstable model
+    raises the same error on every call.
     """
     rho = _remembered("stationary", model, None, lambda: _radius_if_unstable(model.A))
     if rho is not None:

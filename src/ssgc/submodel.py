@@ -150,7 +150,7 @@ def extract_submodel(joint: ISSModel, block: str = "x") -> ISSModel:
     gain = k[:, idx].copy()  # exact on the known states
     known = _known_states(a, c_sub, gain, k[:, other])
     u = slice(None) if known is None else ~known  # the states the solve keeps
-    sol = solve_dare(SSModel._driven(a[u][:, u], c_sub[:, u], k[u], np.eye(joint.p)[idx], joint.V))
+    sol = solve_dare(SSModel._driven(a[u][:, u], c_sub[:, u], k[u], idx, joint.V))
     gain[u] = sol.K
     return ISSModel._build(a, c_sub, gain, sol.V)
 

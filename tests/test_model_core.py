@@ -15,6 +15,7 @@ import scipy.linalg
 import ssgc.model
 from ssgc import (
     AutocovarianceSequence,
+    Check,
     ConvergenceError,
     FirFilter,
     ISSModel,
@@ -22,6 +23,7 @@ from ssgc import (
     PreconditionError,
     SpectralCurve,
     SSModel,
+    ValidationReport,
     Var1Design,
     apply_fir_filter,
     autocovariance_of_iss,
@@ -510,6 +512,83 @@ def test_validate_iss_controllability_at_n160():
     assert res.margin == ctr.witness
 
 
+def _report_by_pbh(model):
+    """validate_iss's report with detectability always decided by pbh_test,
+    as the oracle of its stable-A shortcut."""
+    min_eig = float(np.linalg.eigvalsh(model.V).min())
+    rho_err = spectral_radius(model.A - model.K @ model.C)
+    det = pbh_test(model.A, model.C.T, "detectable")
+    ctr = pbh_test(model.A, model.K, "controllable")
+    rho_a = spectral_radius(model.A)
+    return ValidationReport((
+        Check("V positive definite", min_eig > 0.0, min_eig),
+        Check("A - KC stable", rho_err < 1.0 - STABILITY_MARGIN, rho_err),
+        Check("(A, C) detectable", det.passed, det.margin),
+        Check("(A, K) controllable", ctr.passed, ctr.margin),
+        Check("A stable", rho_a < 1.0 - STABILITY_MARGIN, rho_a),
+    ))
+
+
+def _validation_models():
+    rng = np.random.default_rng(21)
+    c, k = np.array([[1.0, 0.0]]), np.array([[1.0], [0.5]])
+    return {
+        "stable": bivariate_var(rng, 10),
+        "stable-n160": bivariate_var(rng, 80),
+        "unstable-detectable": ISSModel(np.diag([1.5, 0.3]), [[1.0, 1.0]], k, np.eye(1)),
+        "unstable-undetectable": ISSModel(np.diag([0.3, 1.5]), c, k, np.eye(1)),
+        "defective-stable": _jordan_block(0.9)[0],
+        "defective-unstable": _jordan_block(1.0 + 1e-9)[0],
+        "at-the-margin": ISSModel(_jordan_at_the_margin(), np.eye(2), np.eye(2), np.eye(2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["stable", "stable-n160", "unstable-detectable", "unstable-undetectable",
+     "defective-stable", "defective-unstable", "at-the-margin"],
+)
+def test_validate_iss_reports_as_the_pbh_detectability_rule(name):
+    """Deciding detectability from rho(A) leaves every check, verdict and
+    witness as pbh_test gives them, and the stationarity it remembers raises
+    the eigenvalue rule's error for an unstable A."""
+    mdl = _validation_models()[name]
+    report = validate_iss(mdl)
+    assert report == _report_by_pbh(mdl)
+    rho = spectral_radius(mdl.A)
+    if rho < 1.0 - STABILITY_MARGIN:
+        require_stationary(mdl)
+    else:
+        with pytest.raises(PreconditionError, match=f"spectral radius\\(A\\) = {rho:.6g}$"):
+            require_stationary(mdl)
+
+
+def test_validate_iss_decides_stationarity_for_the_analysis(monkeypatch):
+    """After validate_iss(m), gem_time_domain(m) and gem_frequency(m) in both
+    directions run no squaring certificate on m.A: validate_iss's eigenvalues
+    fill the memo's stationarity slot.  A model not validated first is still
+    certified."""
+    model, other = (bivariate_var(np.random.default_rng(seed), 10) for seed in (22, 23))
+    seen = []
+    verdict = ssgc.model._squaring_verdict
+
+    def recorded(power, j):
+        seen.append(power)
+        return verdict(power, j)
+
+    monkeypatch.setattr(ssgc.model, "_squaring_verdict", recorded)
+    grid = default_grid(256)
+    for mdl, validated in ((model, True), (other, False)):
+        if validated:
+            assert validate_iss(mdl).passed
+        seen.clear()
+        gem_time_domain(mdl)
+        gem_frequency(mdl, grid, "y->x")
+        gem_frequency(mdl, grid, "x->y")
+        on_a = [power for power in seen if np.shares_memory(power, mdl.A)]
+        assert (on_a == []) == validated
+
+
 def test_validate_report_renders_one_line_per_check():
     rng = np.random.default_rng(2)
     report = validate_iss(random_iss(rng))
@@ -611,7 +690,9 @@ def test_overflowing_noise_products_are_named():
 @pytest.mark.parametrize("n, p, k", [(0, 2, 2), (3, 0, 2), (3, 2, 4), (4, 1, 1), (2, 3, 5)])
 def test_driven_noise_is_the_joint_covariance_in_blocks(n, p, k):
     """SSModel._driven(A, C, G, D, W) holds [G; D] W [G; D]^T split into
-    [[Q, S], [S^T, R]], symmetric and frozen, with A and C as given."""
+    [[Q, S], [S^T, R]], symmetric and frozen, with A and C as given.  D given
+    as a slice of W's rows is read as the selection matrix I[idx]: the same
+    Q, R and S, up to the sign of exact zeros."""
     rng = np.random.default_rng(31 + 7 * n + p)
     a, c = rng.standard_normal((n, n)), rng.standard_normal((p, n))
     g, d, h = rng.standard_normal((n, k)), rng.standard_normal((p, k)), rng.standard_normal((k, k))
@@ -626,6 +707,13 @@ def test_driven_noise_is_the_joint_covariance_in_blocks(n, p, k):
         assert not got.flags.writeable
     assert np.array_equal(mdl.Q, mdl.Q.T) and np.array_equal(mdl.R, mdl.R.T)
     assert mdl.A is a and mdl.C is c and mdl.partition is None
+    for idx in (slice(k - p, k), slice(0, p)):
+        by_rows = SSModel._driven(a, c, g, idx, w)
+        by_matrix = SSModel._driven(a, c, g, np.eye(k)[idx], w)
+        for f in ("Q", "R", "S"):
+            got, want = getattr(by_rows, f), getattr(by_matrix, f)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert not got.flags.writeable
 
 
 def test_models_the_package_computes_are_not_read_again(monkeypatch):
@@ -967,19 +1055,19 @@ def _jordan_block(rho):
     return mdl, default_grid(512), 1e-12
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        pytest.param(lambda: _coupled_real_root(0.999), id="0.999"),
-        pytest.param(lambda: _coupled_real_root(0.99999), id="0.99999"),
-        pytest.param(lambda: _coupled_real_root(1.0 - 1e-7), id="0.9999999"),
-        pytest.param(_nonnormal_rotation, id="nonnormal-rotation"),
-        pytest.param(_hrf_near_one_sided, id="hrf-near-one-sided"),
-        pytest.param(lambda: _jordan_block(0.99), id="jordan-0.99"),
-        pytest.param(lambda: _jordan_block(0.999), id="jordan-0.999"),
-        pytest.param(lambda: _jordan_block(0.9999), id="jordan-0.9999"),
-    ],
-)
+NEAR_UNIT_ROOTS = [
+    pytest.param(lambda: _coupled_real_root(0.999), id="0.999"),
+    pytest.param(lambda: _coupled_real_root(0.99999), id="0.99999"),
+    pytest.param(lambda: _coupled_real_root(1.0 - 1e-7), id="0.9999999"),
+    pytest.param(_nonnormal_rotation, id="nonnormal-rotation"),
+    pytest.param(_hrf_near_one_sided, id="hrf-near-one-sided"),
+    pytest.param(lambda: _jordan_block(0.99), id="jordan-0.99"),
+    pytest.param(lambda: _jordan_block(0.999), id="jordan-0.999"),
+    pytest.param(lambda: _jordan_block(0.9999), id="jordan-0.9999"),
+]
+
+
+@pytest.mark.parametrize("case", NEAR_UNIT_ROOTS)
 def test_uniform_transfer_near_a_unit_root(monkeypatch, case):
     """Stable A whose A^N has not decayed in the 1-norm still takes the uniform
     rule: a later squaring certifies rho(A) < 1."""
@@ -987,6 +1075,88 @@ def test_uniform_transfer_near_a_unit_root(monkeypatch, case):
     mdl, grid, tol = case()
     want = transfer_function_pointwise(mdl, grid)
     assert _relative_error(mdl.frequency_response(grid), want) < tol
+
+
+def _transfer_with_the_chain_first(a, c, k, grid):
+    """The uniform rule that folds A^N - I into its squaring loop and solves
+    for (I - w A^N)^{-1} K on every model, as the oracle of the chain branch
+    of ``_transfer_uniform``."""
+    n_pts, n = len(grid), a.shape[0]
+    step = 2.0 * np.pi / n_pts
+    eye = np.eye(n)
+    squares, ex, excess = [a], a - eye, np.zeros((n, n))
+    with np.errstate(all="ignore"):
+        for j in range(n_pts.bit_length()):
+            if j:
+                ex = ex @ (squares[-1] + eye)
+                squares.append(squares[-1] @ squares[-1])
+            if n_pts >> j & 1:
+                excess = excess @ squares[-1] + ex
+    shift = int(np.rint(grid[0] / step))
+    lam0 = grid[0] - shift * step
+    omega = np.exp(-1j * n_pts * lam0)
+    gain = np.linalg.solve((1.0 - omega) * eye - omega * excess, k)
+    level = (n_pts - 1).bit_length() // 2
+    s, p, q = 1 << level, c.shape[0], k.shape[1]
+    baby = ssgc.model._power_rows(c, squares[:level], s)
+    gain_t = np.concatenate((gain.real, gain.imag), axis=1).T
+    giant = ssgc.model._power_rows(gain_t, [sq.T for sq in squares[level:]], -(-n_pts // s))
+    products = (baby @ giant.T).reshape(s, p, -1, 2 * q).transpose(2, 0, 1, 3)
+    products = products.reshape(-1, p, 2 * q)[:n_pts]
+    markov = products[..., :q] + 1j * products[..., q:]
+    markov *= np.exp(-1j * lam0 * np.arange(n_pts))[:, None, None]
+    h = np.roll(np.fft.fft(markov, axis=0), -shift, axis=0)
+    return np.exp(-1j * grid)[:, None, None] * h
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", NEAR_UNIT_ROOTS)
+def test_uniform_transfer_chain_is_the_reference_bit_for_bit(monkeypatch, case):
+    """Where A^N has not decayed below rounding, the rule runs the excess chain
+    and its one solve, and H equals the reference's bit for bit."""
+    mdl, grid, _ = case()
+    want = _transfer_with_the_chain_first(mdl.A, mdl.C, mdl.K, grid)
+    solves = _count_solves(monkeypatch)
+    got = ssgc.model._transfer_uniform(mdl.A, mdl.C, mdl.K, grid)
+    assert len(solves) == 1
+    assert np.array_equal(got, want)
+
+
+def _aliasing_at(norm, n_pts):
+    """A random n = 4 model rescaled so that ||A^N||_1, by squaring, is norm."""
+    mdl = random_iss(np.random.default_rng(19), n=4)
+    power = mdl.A
+    for _ in range(n_pts.bit_length() - 1):
+        power = power @ power
+    scale = (norm / np.abs(power).sum(axis=0).max()) ** (1.0 / n_pts)
+    return dataclasses.replace(mdl, A=scale * mdl.A)
+
+
+@pytest.mark.parametrize("factor, solves", [(0.5, 0), (0.99, 0), (1.01, 1), (2.0, 1)])
+def test_uniform_transfer_skips_the_aliasing_solve_below_rounding(monkeypatch, factor, solves):
+    """||A^N||_1 <= eps makes (I - w A^N)^{-1} the identity to working precision:
+    the rule takes G = K with no solve.  Just above eps it runs the chain and
+    its solve.  Both branches match the pointwise resolvent solve."""
+    n_pts = 512
+    eps = np.finfo(float).eps
+    mdl = _aliasing_at(factor * eps, n_pts)
+    power = mdl.A
+    for _ in range(n_pts.bit_length() - 1):
+        power = power @ power
+    assert (np.abs(power).sum(axis=0).max() <= eps) == (solves == 0)
+    _refuse_dense_rule(monkeypatch)
+    for grid in (default_grid(n_pts), default_grid(n_pts) + 0.37):
+        want = transfer_function_pointwise(mdl, grid)
+        calls = _count_solves(monkeypatch)
+        got = mdl.frequency_response(grid)
+        assert len(calls) == solves
+        assert _relative_error(got, want) < 1e-12
 
 
 def _companion_160(rho):
@@ -1069,6 +1239,52 @@ def test_failing_certificate_stops_at_the_trace_bound(a, most):
         assert not ssgc.model._certified_stable(a.view(_CountedSquares), 0)
         assert ssgc.model._radius_if_unstable(a) == spectral_radius(a)
     assert _CountedSquares.products <= most
+
+
+def _count_eigvals(monkeypatch) -> list:
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(np.array([[1.2]]), id="scalar"),
+        pytest.param(np.array([[-1.5]]), id="scalar-negative"),
+        pytest.param(np.diag([1.5, 0.3]), id="real"),
+        pytest.param(_complex_pair(1.02, 0.7), id="complex-pair"),
+    ],
+)
+def test_trace_bound_decides_instability_without_eigvals(monkeypatch, a):
+    """|tr A^(2^i)| >= n (1 - STABILITY_MARGIN)^(2^i), clear of rounding, is the
+    verdict: the detectability premise of an unstable a needs no eigenvalue,
+    and a pair whose gain reaches every state passes on its staircase."""
+    b = np.ones((len(a), 1))
+    calls = _count_eigvals(monkeypatch)
+    assert ssgc.model._squaring_verdict(a.T, 0) is False
+    res = pbh_test(a, b, "detectable")
+    assert res.passed and res.witness is None and np.isfinite(res.margin)
+    assert calls == []
+
+
+def test_pbh_premise_agrees_with_the_eigenvalue_rule(monkeypatch):
+    """Every pbh_test result, verdict, witness and margin, on the staircase
+    pairs and the stability rule's matrices at and near the margin, equals the
+    one whose stable-a premise is decided by the eigenvalues alone."""
+    rng = np.random.default_rng(20)
+    pairs = [make(rng)[:2] for make in (_random_pair, _planted_pair, _diagonal_pair,
+                                        _jordan_pair, _companion_pair) for _ in range(100)]
+    for a in (_jordan_at_the_margin(), _coupled_real_root(1.0)[0].A, _jordan_block(1.0 + 1e-9)[0].A,
+              _companion_160(1.0 + 1e-9), _companion_160(1.0 - 1e-9), np.array([[1.0 - 1e-12]])):
+        pairs += [(a, np.eye(len(a), 1)), (a, np.zeros((len(a), 0)))]
+    modes = ("stabilizable", "detectable")
+    got = [pbh_test(a, b, mode) for a, b in pairs for mode in modes]
+    monkeypatch.setattr(
+        ssgc.model, "_is_stable", lambda a: spectral_radius(a) < 1.0 - STABILITY_MARGIN
+    )
+    assert got == [pbh_test(a, b, mode) for a, b in pairs for mode in modes]
 
 
 def test_checks_of_a_stable_model_skip_eigvals(monkeypatch):

@@ -2,6 +2,8 @@
 names) and rules that hold across the package's source."""
 
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 import ssgc
@@ -92,3 +94,40 @@ def test_no_matrix_power():
     """Powers of A are formed by squaring (downsample_iss joins its step
     triples over the bits of m), never by np.linalg.matrix_power."""
     assert _lines_with("np.linalg.matrix_power(") == []
+
+
+def _calls_of(name):
+    """(file name, line number) of every call of name in the package's code:
+    the name followed by "(", outside strings, comments and its def line."""
+    sites = []
+    for path in sorted(Path(ssgc.__file__).parent.glob("*.py")):
+        tokens = [t for t in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+                  if t.type in (tokenize.NAME, tokenize.OP)]
+        for before, token, after in zip(tokens, tokens[1:], tokens[2:]):
+            if token.string == name and after.string == "(" and before.string != "def":
+                sites.append((path.name, token.start[0]))
+    return sites
+
+
+def test_eigenvalues_only_where_reported():
+    """The one stability rule decides by squaring certificates, and eigenvalues
+    are computed only where a value is reported or no certificate decides:
+    spectral_radius in _radius_if_unstable (an error message), _is_stable's
+    fallback, validate_iss (rho(A) and rho(A - KC)) and apply_fir_filter
+    (rho(A - KC)); np.linalg.eigvals in spectral_radius and pbh_test's
+    unreachable Kalman block."""
+    allowed = {
+        "spectral_radius": [(model._radius_if_unstable, 1), (model._is_stable, 1),
+                            (model.validate_iss, 2), (filtering.apply_fir_filter, 1)],
+        "eigvals": [(model.spectral_radius, 1), (model.pbh_test, 1)],
+    }
+    for name, places in allowed.items():
+        sites = _calls_of(name)
+        assert [(fn, sum(site in _sites_in(fn) for site in sites)) for fn, _ in places] == places, name
+        assert len(sites) == sum(count for _, count in places), name
+
+
+def _sites_in(fn):
+    """(file name, line number) of every line of fn."""
+    name = Path(inspect.getfile(fn)).name
+    return {(name, n) for n in _lines_of(fn)}
