@@ -8,15 +8,16 @@ innovation covariance solve the DARE of
     Q_1 = K V K^T,            Q_j = A Q_{j-1} A^T + K V K^T,
 
 where Q_1 and S_1 = K V are the noise of ``ISSModel.as_ss``.  The triple
-(A^m, Q_m, S_m) is formed by squaring, a steps then b steps joining as
-(A^b A^a, Q_b + A^b Q_a A^b^T, A^b S_a), so any integer m >= 1 is exact in
-O(log m) matrix products.
+(A^m, Q_m, S_m) is one step joined with the triples of b = 2^j steps at the
+set bits of m - 1, a steps then b as (A^b A^a, Q_b + A^b Q_a A^b^T, A^b S_a);
+A^b comes from the one squaring loop ``model._squarings``, and Q_b doubles
+beside it, so any integer m >= 1 is exact in O(log m) matrix products.
 """
 
 from __future__ import annotations
 
 from .dare import solve_dare
-from .model import ISSModel, SSModel, _is_int, require_stationary
+from .model import ISSModel, SSModel, _is_int, _squarings, require_stationary
 
 __all__ = ["downsample_iss"]
 
@@ -42,18 +43,17 @@ def downsample_iss(model: ISSModel, m: int) -> ISSModel:
     if m == 1:
         return model
 
-    # (a_b, q_b) is the triple of b = 2^j steps; (a_m, q_m, s_m) that of one
-    # step joined with the bits of m - 1 below 2^j.
+    # One step, joined with (a_b, q_b), b = 2^j steps, at the set bits of m - 1.
     noise = model.as_ss()
-    a_b, q_b = model.A, noise.Q
-    a_m, q_m, s_m = a_b, q_b, noise.S
-    k = m - 1
-    while k:
+    a_m, q_m, s_m = model.A, noise.Q, noise.S
+    q_b, k = noise.Q, int(m) - 1
+    for a_b in _squarings(model.A):
         if k & 1:
             a_m, q_m, s_m = a_b @ a_m, q_b + a_b @ q_m @ a_b.T, a_b @ s_m
         k >>= 1
-        if k:
-            a_b, q_b = a_b @ a_b, q_b + a_b @ q_b @ a_b.T
+        if not k:
+            break
+        q_b = q_b + a_b @ q_b @ a_b.T
 
     sol = solve_dare(SSModel._build(a_m, model.C, q_m, noise.R, s_m))
     return ISSModel._build(a_m, model.C, sol.K, sol.V, partition=model.partition)

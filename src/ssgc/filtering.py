@@ -74,8 +74,9 @@ class FirFilter:
             x, y = self.partition.x, self.partition.y
             if np.any(taps[:, x, y] != 0.0) or np.any(taps[:, y, x] != 0.0):
                 raise ValueError("block-diagonal filter has nonzero off-diagonal blocks")
-        # Cheap probe that det Phi(z) is not the zero polynomial.
-        probes = np.array([0.9372 * np.exp(0.8j), 1.234 * np.exp(-2.1j), 0.5111 * np.exp(2.77j)])
+        # Cheap probe that det Phi(z) is not the zero polynomial, at generic
+        # points of the unit circle, whose powers neither overflow nor underflow.
+        probes = np.exp(1j * np.array([0.8, -2.1, 2.77]))
         powers = probes[:, None] ** np.arange(taps.shape[0])[None, :]
         dets = np.linalg.det(np.einsum("mk,kij->mij", powers, taps.astype(complex)))
         if np.all(np.abs(dets) < 1e-300):

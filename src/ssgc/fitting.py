@@ -54,6 +54,7 @@ def fit_var_ols(series: TimeSeries | np.ndarray, order: int):
         series = TimeSeries(series)
     if not _is_int(order) or order < 1:
         raise ValueError("order must be a positive integer")
+    order = int(order)
     t, p = series.steps, series.channels
     if t <= p * order + 1:
         raise PreconditionError(
@@ -88,6 +89,7 @@ def simulate_var(coefficients, sigma, steps: int, rng: np.random.Generator, burn
     c, sig, order = _read_var(coefficients, sigma)
     if not (_is_int(steps) and _is_int(burn_in)) or steps < 1 or burn_in < 0:
         raise ValueError("steps must be a positive integer and burn_in a nonnegative integer")
+    steps, burn_in = int(steps), int(burn_in)
     noise_factor = _cholesky(sig, "innovation covariance must be positive definite")
 
     total = steps + burn_in

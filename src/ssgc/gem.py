@@ -277,6 +277,7 @@ def chi2_test(
         raise ValueError("fhat must be finite and nonnegative")
     if not all(_is_int(v) and v >= 1 for v in (n_obs, state_dim, px, py)):
         raise ValueError("n_obs, state_dim, px and py must be positive integers")
+    n_obs, state_dim, px, py = int(n_obs), int(state_dim), int(px), int(py)
     if kind == "weak":
         df = 2 * state_dim * px * py
     elif kind == "instantaneous":

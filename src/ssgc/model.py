@@ -162,10 +162,19 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max()) if a.size else 0.0
 
 
+def _squarings(a: np.ndarray):
+    """A, A^2, A^4, ...: the package's one squaring loop.  The next square is
+    formed only when it is asked for, so a caller that stops takes no extra
+    product; the caller sets the ``np.errstate`` its squares need."""
+    while True:
+        yield a
+        a = a @ a
+
+
 def _squaring_verdict(power: np.ndarray, j: int) -> bool | None:
     """The squaring certificate's verdict on rho(A) < 1 - STABILITY_MARGIN,
     given power = A^(2^j): True when proved, False when disproved, None when
-    the squarings decide nothing.
+    the squarings (``_squarings`` from power) decide nothing.
 
     By Gelfand's bound rho(A)^m <= ||A^m||, a squaring A^(2^i), i >= j, of
     1-norm below (1 - STABILITY_MARGIN)^(2^i) is a proof.  |tr A^(2^i)| >=
@@ -176,7 +185,7 @@ def _squaring_verdict(power: np.ndarray, j: int) -> bool | None:
     _SQUARING_NORM_CAP (or is not finite), so a squaring never overflows, or
     when the excess is within rounding.
     """
-    for i in itertools.count(j):
+    for i, power in enumerate(_squarings(power), start=j):
         bound = (1.0 - STABILITY_MARGIN) ** (2**i)
         norm = np.abs(power).sum(axis=0).max(initial=0.0)
         if norm < bound:
@@ -186,34 +195,14 @@ def _squaring_verdict(power: np.ndarray, j: int) -> bool | None:
         excess = abs(power.trace()) - len(power) * bound
         if excess >= 0.0:
             return False if excess > len(power) * 2.0**i * _EPS * norm else None
-        power = power @ power
 
 
-def _certified_stable(power: np.ndarray, j: int) -> bool:
-    """True if a squaring proves rho(A) < 1 - STABILITY_MARGIN, given power =
-    A^(2^j) (``_squaring_verdict``)."""
-    return _squaring_verdict(power, j) is True
-
-
-def _radius_if_unstable(a: np.ndarray, power: np.ndarray | None = None, j: int = 0) -> float | None:
-    """The one stability rule with its radius: None when rho(a) < 1 -
-    STABILITY_MARGIN, else rho(a).
-
-    A squaring certificate, from power = a^(2^j) when given, decides most
-    stable matrices without an eigenvalue; otherwise the verdict is
-    ``spectral_radius(a) < 1 - STABILITY_MARGIN``, and the radius computed
-    for it is returned for the caller's message.
-    """
-    if _certified_stable(a if power is None else power, j):
-        return None
-    rho = spectral_radius(a)
-    return rho if rho >= 1.0 - STABILITY_MARGIN else None
-
-
-def _is_stable(a: np.ndarray) -> bool:
-    """rho(a) < 1 - STABILITY_MARGIN, by the one stability rule: the squaring
-    verdict, proof or disproof, and the eigenvalues only when it has none."""
-    verdict = _squaring_verdict(a, 0)
+def _is_stable(a: np.ndarray, power: np.ndarray | None = None, j: int = 0) -> bool:
+    """The one stability rule, rho(a) < 1 - STABILITY_MARGIN: the squaring
+    verdict (``_squaring_verdict``), continued from power = a^(2^j) when
+    given, proof or disproof, and the eigenvalues only when it decides
+    nothing.  Callers compute the radius itself only for an error message."""
+    verdict = _squaring_verdict(a if power is None else power, j)
     return spectral_radius(a) < 1.0 - STABILITY_MARGIN if verdict is None else verdict
 
 
@@ -297,25 +286,24 @@ def _power_rows(first: np.ndarray, squares, count: int) -> np.ndarray:
 def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndarray):
     """C (e^{j lambda} I - A)^{-1} K on one period of a uniform grid, by one FFT.
 
-    None when grid is not such a period or ``_certified_stable`` finds no
-    certificate from the last square A^(2^j), 2^j <= N; see
-    ``ISSModel.frequency_response``.  The Markov parameters C A^k G, k < N, are
-    s = 2^floor(bit_length(N - 1) / 2) baby rows C A^i (block doubling over
-    the squares below s) times ceil(N / s) giant columns A^(j s) G (doubling on
-    the right over the squares from s on, Re G and Im G as 2p real columns, so
-    A stays real): O(sqrt(N) p n^2 + N p^2 n + n^3 log N) time and
-    O(sqrt(N) p n + N p^2 + n^2 log N) memory.
+    None when grid is not such a period or the squaring verdict, continued
+    from the last square A^(2^j), 2^j <= N, of ``_squarings``, is not a proof
+    (the dense rule is the fallback); see ``ISSModel.frequency_response``.
+    The Markov parameters C A^k G, k < N, are s = 2^floor(bit_length(N - 1) / 2)
+    baby rows C A^i (block doubling over the squares below s) times
+    ceil(N / s) giant columns A^(j s) G (doubling on the right over the
+    squares from s on, G read as real columns, [Re g_1, Im g_1, ...] when
+    complex, so A stays real): O(sqrt(N) p n^2 + N p^2 n + n^3 log N) time
+    and O(sqrt(N) p n + N p^2 + n^2 log N) memory.
     """
     n_pts = len(grid)
     step = 2.0 * np.pi / n_pts
     if not np.abs(grid - (grid[0] + step * np.arange(n_pts))).max() <= _grid_tol(grid):
         return None  # not uniform
-    squares = [a]  # A^(2^j) for 2^j <= N
     with np.errstate(all="ignore"):  # an unstable A may overflow; it is rejected below
-        for _ in range(1, n_pts.bit_length()):
-            squares.append(squares[-1] @ squares[-1])
+        squares = list(itertools.islice(_squarings(a), n_pts.bit_length()))  # A^(2^j), 2^j <= N
         # rho(A) < 1 makes I - w A^N invertible; certify it from the last square.
-        if not _certified_stable(squares[-1], len(squares) - 1):
+        if _squaring_verdict(squares[-1], len(squares) - 1) is not True:
             return None
     # Shift the grid by whole steps so |lambda_0| <= step / 2 and every phase stays small.
     shift = int(np.rint(grid[0] / step))
@@ -323,16 +311,15 @@ def _transfer_uniform(a: np.ndarray, c: np.ndarray, k: np.ndarray, grid: np.ndar
     gain = _aliasing_gain(squares, k, n_pts, np.exp(-1j * n_pts * lam0))
     if gain is None:
         return None
-    # C A^(js+i) G: baby rows C A^i times giant columns A^(js) [Re G, Im G] (Paterson & Stockmeyer).
+    # C A^(js+i) G: baby rows C A^i times giant columns A^(js) G (Paterson & Stockmeyer).
     level = (n_pts - 1).bit_length() // 2
-    s, p, q = 1 << level, c.shape[0], k.shape[1]
+    s, p = 1 << level, c.shape[0]
     baby = _power_rows(c, squares[:level], s)
-    gain_t = np.concatenate((gain.real, gain.imag), axis=1).T
+    gain_t = np.ascontiguousarray(gain).view(float).T  # G's real columns
     giant = _power_rows(gain_t, [sq.T for sq in squares[level:]], -(-n_pts // s))
-    products = (baby @ giant.T).reshape(s, p, -1, 2 * q).transpose(2, 0, 1, 3)
-    products = products.reshape(-1, p, 2 * q)[:n_pts]
-    markov = products[..., :q] + 1j * products[..., q:]
-    markov *= np.exp(-1j * lam0 * np.arange(n_pts))[:, None, None]
+    products = (baby @ giant.T).reshape(s, p, -1, len(gain_t)).transpose(2, 0, 1, 3)
+    products = products.reshape(-1, p, len(gain_t))[:n_pts]
+    markov = products.view(gain.dtype) * np.exp(-1j * lam0 * np.arange(n_pts))[:, None, None]
     h = np.roll(np.fft.fft(markov, axis=0), -shift, axis=0)
     return np.exp(-1j * grid)[:, None, None] * h
 
@@ -407,6 +394,8 @@ class JointPartition:
             raise ValueError("partition block sizes must be integers")
         if self.px < 1 or self.py < 1:
             raise ValueError("both blocks of a partition must be non-empty")
+        object.__setattr__(self, "px", int(self.px))
+        object.__setattr__(self, "py", int(self.py))
 
     @property
     def p(self) -> int:
@@ -561,12 +550,12 @@ class ISSModel(_StateSpace):
         squaring) and the complex n x n solve, which leaves the squarings as
         its only n x n steps.  Otherwise (a root near the unit circle, a
         non-normal A, a short grid) it forms A^N - I by that chain, which
-        keeps a root near +-1 accurate, and solves for G.  Stability is
-        certified by the squaring certificate of the one stability rule,
-        continued from the last square A^(2^j), 2^j <= N, that the rule
-        computes anyway: some A^(2^j) of 1-norm below
+        keeps a root near +-1 accurate, and solves for G.  Stability must be
+        proved by the squaring verdict of the one stability rule, continued
+        from the last square A^(2^j), 2^j <= N (``_squarings``), that the
+        rule computes anyway: some A^(2^j) of 1-norm below
         (1 - STABILITY_MARGIN)^(2^j).  Every other input (a non-uniform
-        grid, or an A without that certificate) takes the pointwise resolvent
+        grid, or an A without that proof) takes the pointwise resolvent
         solve C (e^{j lambda} I - A)^{-1} K, in chunks of at most
         DENSE_CHUNK_BYTES of complex (n, n) matrices (one point at a time once
         a single matrix is larger).  The grid must pass the checks every
@@ -752,10 +741,10 @@ def pbh_test(a, b, mode: str = "controllable") -> PbhResult:
         as ``witness`` (None when the test passes) and the staircase margin.
         Stabilizability and detectability pass at once, with margin inf, when a
         has no eigenvalue of modulus >= 1 - 1e-12; that premise is decided by
-        the one stability rule ``_is_stable`` (a squaring certificate, or the
-        trace bound's disproof, else the eigenvalues), so a certified stable a,
-        or an a whose squarings' trace proves it unstable, costs no eigenvalue
-        computation.
+        the one stability rule ``_is_stable``, as stationarity is (a squaring
+        certificate, or the trace bound's disproof, else the eigenvalues), so
+        a certified stable a, or an a whose squarings' trace proves it
+        unstable, costs no eigenvalue computation.
     """
     a, b = _as_matrix(a, "a"), _as_matrix(b, "b")
     if a.shape[0] != a.shape[1]:
@@ -793,7 +782,7 @@ def validate_iss(model: ISSModel) -> ValidationReport:
     """
     rho_a = spectral_radius(model.A)
     stable = rho_a < 1.0 - STABILITY_MARGIN
-    _remembered("stationary", model, None, lambda: None if stable else rho_a)
+    _remembered("stationary", model, None, lambda: stable)
     checks: list[Check] = []
 
     min_eig = float(np.linalg.eigvalsh(model.V).min())
@@ -816,18 +805,18 @@ def validate_iss(model: ISSModel) -> ValidationReport:
 def require_stationary(model: ISSModel) -> None:
     """Raise unless the state transition matrix is stable.
 
-    Stability is the one rule ``_radius_if_unstable``: rho(A) < 1 -
-    STABILITY_MARGIN, proved by a squaring certificate when one exists, so
-    the eigenvalues of A are computed only when there is none.  The verdict
-    is remembered (``_remembered``) for the last model object asked about,
-    so the repeated checks of one analysis (both submodels of
+    Stability is the one rule ``_is_stable``, so the eigenvalues of A are
+    computed only when the squaring verdict decides nothing, or for the
+    error message, which names the spectral radius.  The verdict is
+    remembered (``_remembered``) for the last model object asked about, so
+    the repeated checks of one analysis (both submodels of
     ``gem_time_domain``, both directions of ``gem_frequency``) decide it
     once; ``validate_iss`` fills the same slot from the eigenvalues it
     reports, so an analysis after it decides nothing.  An unstable model
     raises the same error on every call.
     """
-    rho = _remembered("stationary", model, None, lambda: _radius_if_unstable(model.A))
-    if rho is not None:
+    if not _remembered("stationary", model, None, lambda: _is_stable(model.A)):
+        rho = spectral_radius(model.A)
         raise PreconditionError(f"model is not stationary: spectral radius(A) = {rho:.6g}")
 
 
@@ -889,8 +878,8 @@ def _companion_iss(c: np.ndarray, sigma: np.ndarray, partition: JointPartition |
     p, n = c.shape
     companion = np.eye(n, k=-p)  # the shift rows [I 0] below the lag rows C
     companion[:p] = c
-    rho = _radius_if_unstable(companion)
-    if rho is not None:
+    if not _is_stable(companion):
+        rho = spectral_radius(companion)
         raise PreconditionError(f"VAR is unstable: companion spectral radius = {rho:.6g}")
     return ISSModel._build(companion, c, np.eye(n, p), sigma, partition=partition)
 
@@ -956,11 +945,12 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Smith's iteration, the G = 0 case of the one doubling loop, to the
     relative tolerance LYAPUNOV_TOL.  Stability is then decided by the one
-    rule ``_radius_if_unstable``, its certificate continuing from the loop's
+    rule ``_is_stable``, its squaring verdict continuing from the loop's
     last square A^(2^j) (from A when the loop fails).  Raises
-    PreconditionError naming the spectral radius of an unstable A, even one
-    that W never reaches, and ConvergenceError ("Lyapunov doubling ...")
-    when the loop fails on a stable A.  ValueError unless a and w are real,
+    PreconditionError naming the spectral radius (computed for that message
+    only) of an unstable A, even one that W never reaches, and
+    ConvergenceError ("Lyapunov doubling ...") when the loop fails on a
+    stable A.  ValueError unless a and w are real,
     finite 2-D arrays (``_as_matrix``), then unless a is square and w of its
     shape.
     """
@@ -973,8 +963,8 @@ def solve_lyapunov(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         power, j = power.T, steps - 1
     except ConvergenceError as exc:
         failure = exc
-    rho = _radius_if_unstable(a, power, j)
-    if rho is not None:
+    if not _is_stable(a, power, j):
+        rho = spectral_radius(a)
         msg = f"Lyapunov equation needs stable A, spectral radius = {rho:.6g}"
         raise PreconditionError(msg) from failure
     if failure is not None:
@@ -990,6 +980,7 @@ def autocovariance_of_iss(model: ISSModel, h_max: int) -> AutocovarianceSequence
     """
     if not _is_int(h_max) or h_max < 0:
         raise ValueError("h_max must be a nonnegative integer")
+    h_max = int(h_max)
     require_stationary(model)
     noise = model.as_ss()
     pi = solve_lyapunov(model.A, noise.Q)

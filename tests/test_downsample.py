@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import ssgc.downsample
 from ssgc import autocovariance_of_iss, downsample_iss, validate_iss
 
 from support import (
@@ -48,6 +49,40 @@ def test_huge_factors_reach_the_white_noise_limit_fast():
         assert time.perf_counter() - started < 1.0
         assert not down.A.any() and not down.K.any()
         assert np.abs(down.V - gamma0).max() < 1e-12
+
+
+def _triple_by_step_doubling(model, m):
+    """(A^m, Q_m, S_m) by the loop that kept its own squares of A: one step
+    joined with the triples of 2^j steps at the set bits of m - 1."""
+    noise = model.as_ss()
+    a_b, q_b = model.A, noise.Q
+    a_m, q_m, s_m = a_b, q_b, noise.S
+    k = m - 1
+    while k:
+        if k & 1:
+            a_m, q_m, s_m = a_b @ a_m, q_b + a_b @ q_m @ a_b.T, a_b @ s_m
+        k >>= 1
+        if k:
+            a_b, q_b = a_b @ a_b, q_b + a_b @ q_b @ a_b.T
+    return a_m, 0.5 * (q_m + q_m.T), s_m  # Q_m as the model build symmetrizes it
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 2**40, 10**12 + 7])
+def test_squarings_join_the_triple_bit_for_bit(monkeypatch, m):
+    """Reading A^(2^j) from the one squaring loop forms the same products in
+    the same order: the Riccati input (A^m, Q_m, S_m) and the model returned
+    equal the step-doubling loop's, bit for bit, for m an int or np.int64."""
+    mdl = bivariate_var(np.random.default_rng(37), 3)
+    seen = []
+    solve = ssgc.downsample.solve_dare
+    monkeypatch.setattr(ssgc.downsample, "solve_dare", lambda ss: seen.append(ss) or solve(ss))
+    down = [downsample_iss(mdl, factor) for factor in (m, np.int64(m))]
+    want = _triple_by_step_doubling(mdl, m)
+    for ss in seen:
+        for got, ref in zip((ss.A, ss.Q, ss.S), want):
+            assert got.tobytes() == ref.tobytes()
+    for f in ("A", "C", "K", "V"):
+        assert getattr(down[0], f).tobytes() == getattr(down[1], f).tobytes()
 
 
 def test_factor_must_be_positive_integer():

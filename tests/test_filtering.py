@@ -44,6 +44,23 @@ def test_fir_container_basics():
         g.scalar_taps  # not a scalar filter
 
 
+@pytest.mark.parametrize("taps", [2, 3001, 4001])
+def test_zero_determinant_is_rejected_at_any_length(taps):
+    """The zero-determinant probe evaluates det Phi(z) on the unit circle, so
+    its powers cannot overflow however many taps the filter has."""
+    with pytest.raises(ValueError, match="determinant is identically zero"):
+        FirFilter(np.zeros((taps, 1, 1)))
+
+
+def test_long_filters_build_without_warnings():
+    """A 4001-tap scalar filter and a finely sampled HRF build with no
+    warning (the suite turns warnings to errors)."""
+    taps = np.zeros(4001)
+    taps[-1] = 1.0
+    assert FirFilter.scalar(taps).q == 4000
+    assert hrf_glover(tr=0.005).q > 3375
+
+
 def test_fir_container_validation():
     with pytest.raises(ValueError):
         FirFilter(np.ones((2, 2, 3)))  # taps not square

@@ -275,19 +275,19 @@ def test_measures_of_one_model_share_its_transfer_and_stationarity(monkeypatch):
     joint = bivariate_var(np.random.default_rng(15), 3)
     grid = default_grid(256)
     transfers, verdicts = [], []
-    real_transfer, real_radius = ssgc.model._transfer_uniform, ssgc.model._radius_if_unstable
+    real_transfer, real_stable = ssgc.model._transfer_uniform, ssgc.model._is_stable
 
     def transfer(*args):
         transfers.append(args)
         return real_transfer(*args)
 
-    def radius(a, *rest):
+    def stable(a, *rest):
         if a is joint.A:
             verdicts.append(a)
-        return real_radius(a, *rest)
+        return real_stable(a, *rest)
 
     monkeypatch.setattr(ssgc.model, "_transfer_uniform", transfer)
-    monkeypatch.setattr(ssgc.model, "_radius_if_unstable", radius)
+    monkeypatch.setattr(ssgc.model, "_is_stable", stable)
     gem_time_domain(joint)
     assert len(verdicts) == 1
     pair = [gem_frequency(joint, grid, d) for d in ("y->x", "x->y")]

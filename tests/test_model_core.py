@@ -27,14 +27,17 @@ from ssgc import (
     Var1Design,
     apply_fir_filter,
     autocovariance_of_iss,
+    chi2_test,
     default_grid,
     design_var1,
     downsample_iss,
     extract_submodel,
+    fit_var_ols,
     gem_frequency,
     gem_time_domain,
     pbh_test,
     riccati_fixed_point,
+    simulate_var,
     solve_lyapunov,
     spectral_radius,
     spectrum_of_iss,
@@ -608,13 +611,13 @@ def test_require_stationary_decides_once_per_model(monkeypatch):
     equal arrays is decided afresh, and an unstable model raises every time."""
     mdl = random_iss(np.random.default_rng(12))
     calls = []
-    real = ssgc.model._radius_if_unstable
+    real = ssgc.model._is_stable
 
-    def radius(a, *rest):
+    def stable(a, *rest):
         calls.append(a)
         return real(a, *rest)
 
-    monkeypatch.setattr(ssgc.model, "_radius_if_unstable", radius)
+    monkeypatch.setattr(ssgc.model, "_is_stable", stable)
     require_stationary(mdl)
     require_stationary(mdl)
     assert len(calls) == 1
@@ -767,6 +770,25 @@ def test_autocovariance_matches_spectrum_quadrature():
             quad = (curve.values * phases[h][:, None, None]).mean(axis=0)
             assert np.abs(quad.imag).max() < 1e-6
             assert np.abs(quad.real - acov[h]).max() < 1e-6
+
+
+def test_fixed_width_integers_are_read_as_python_ints():
+    """An integer argument of a fixed-width numpy type gives the result of the
+    same Python int: the package does its arithmetic on int(value), so
+    nothing wraps around or overflows (the suite turns warnings to errors)."""
+    assert chi2_test(0.1, 1000, np.int8(100), np.int8(1), np.int8(1)) == chi2_test(0.1, 1000, 100, 1, 1)
+    assert chi2_test(0.1, 1000, np.uint8(200), 1, 1) == chi2_test(0.1, 1000, 200, 1, 1)
+    assert JointPartition(np.int8(100), np.int8(100)).p == 200
+    model = random_iss(np.random.default_rng(7), n=3, px=1, py=2)
+    assert np.array_equal(
+        autocovariance_of_iss(model, np.int8(127)).gammas, autocovariance_of_iss(model, 127).gammas
+    )
+    lags, sigma = [0.5 * np.eye(2)], np.eye(2)
+    path = simulate_var(lags, sigma, np.uint8(10), np.random.default_rng(3))
+    assert np.array_equal(path, simulate_var(lags, sigma, 10, np.random.default_rng(3)))
+    for order in (100, np.int8(100)):
+        with pytest.raises(PreconditionError, match="too short to fit 2 channels at order 100"):
+            fit_var_ols(path, order)
 
 
 def test_autocovariance_negative_lag_transposes():
@@ -1199,7 +1221,12 @@ def test_stability_rule_matches_the_spectral_radius(make, certified):
     a = make()
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert ssgc.model._is_stable(a) == (spectral_radius(a) < 1.0 - STABILITY_MARGIN)
-        assert ssgc.model._certified_stable(a, 0) == certified
+        assert (ssgc.model._squaring_verdict(a, 0) is True) == certified
+        power = a
+        for j in range(4):  # the verdict continued from a^(2^j) is the same rule
+            assert ssgc.model._is_stable(a, power, j) == ssgc.model._is_stable(a)
+            assert ssgc.model._is_stable(a, power, j) == (spectral_radius(a) < 1.0 - STABILITY_MARGIN)
+            power = power @ power
 
 
 class _CountedSquares(np.ndarray):
@@ -1236,9 +1263,40 @@ def test_failing_certificate_stops_at_the_trace_bound(a, most):
     instead of squaring until the norm passes 1e100."""
     _CountedSquares.products = 0
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        assert not ssgc.model._certified_stable(a.view(_CountedSquares), 0)
-        assert ssgc.model._radius_if_unstable(a) == spectral_radius(a)
+        assert ssgc.model._squaring_verdict(a.view(_CountedSquares), 0) is not True
+        assert not ssgc.model._is_stable(a)
     assert _CountedSquares.products <= most
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _coupled_real_root(1.0)[0].A, id="unit-root"),
+        pytest.param(lambda: np.array([[0.0, -1.0], [1.0, 0.0]]), id="unit-rotation"),
+        pytest.param(lambda: _companion_160(1.0 + 1e-9), id="companion-1+1e-9"),
+        pytest.param(lambda: _companion_160(1.05), id="companion-1.05"),
+        pytest.param(lambda: np.diag([1.2, 0.5]), id="real"),
+        pytest.param(lambda: np.diag([-1.5, 0.3]), id="real-negative"),
+        pytest.param(lambda: _complex_pair(1.02, 0.7), id="complex-pair"),
+        pytest.param(lambda: _complex_pair(1.005, 1.0), id="complex-pair-1.005"),
+        pytest.param(lambda: _jordan_block(1.0 + 1e-9)[0].A, id="jordan-unit"),
+    ],
+)
+def test_unstable_messages_name_the_spectral_radius(make):
+    """Whether the squarings' trace disproves stability or the eigenvalues
+    decide it, require_stationary, var_to_iss and solve_lyapunov reject an
+    unstable A with its eigenvalue spectral radius, >= 1 - STABILITY_MARGIN."""
+    a = make()
+    n = len(a)
+    rho = spectral_radius(a)
+    assert rho >= 1.0 - STABILITY_MARGIN
+    mdl = ISSModel(a, np.ones((1, n)), np.ones((n, 1)), np.eye(1))
+    with pytest.raises(PreconditionError, match=f"^model is not stationary: spectral radius\\(A\\) = {rho:.6g}$"):
+        require_stationary(mdl)
+    with pytest.raises(PreconditionError, match=f"^VAR is unstable: companion spectral radius = {rho:.6g}$"):
+        var_to_iss([a], np.eye(n))
+    with pytest.raises(PreconditionError, match=f"^Lyapunov equation needs stable A, spectral radius = {rho:.6g}$"):
+        solve_lyapunov(a, np.eye(n))
 
 
 def _count_eigvals(monkeypatch) -> list:

@@ -1,9 +1,8 @@
 """The public surface (each module's ``__all__`` is the one list of its
 names) and rules that hold across the package's source."""
 
+import ast
 import inspect
-import io
-import tokenize
 from pathlib import Path
 
 import ssgc
@@ -96,28 +95,48 @@ def test_no_matrix_power():
     assert _lines_with("np.linalg.matrix_power(") == []
 
 
+def _nodes():
+    """(file name, node) of every node of the package's syntax trees, the
+    expressions inside f-strings included."""
+    for path in sorted(Path(ssgc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def _calls_of(name):
     """(file name, line number) of every call of name in the package's code:
-    the name followed by "(", outside strings, comments and its def line."""
-    sites = []
-    for path in sorted(Path(ssgc.__file__).parent.glob("*.py")):
-        tokens = [t for t in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-                  if t.type in (tokenize.NAME, tokenize.OP)]
-        for before, token, after in zip(tokens, tokens[1:], tokens[2:]):
-            if token.string == name and after.string == "(" and before.string != "def":
-                sites.append((path.name, token.start[0]))
-    return sites
+    a call of the bare name or of an attribute so named (np.linalg.eigvals)."""
+    return [
+        (file, node.lineno)
+        for file, node in _nodes()
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_squaring_loop():
+    """Powers of A are squared in one place, model._squarings: the only
+    product of an array with itself (x @ x) in the package is there."""
+    squares = [
+        (file, node.lineno)
+        for file, node in _nodes()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        and ast.dump(node.left) == ast.dump(node.right)
+    ]
+    assert len(squares) == 1 and squares[0] in _sites_in(model._squarings)
 
 
 def test_eigenvalues_only_where_reported():
-    """The one stability rule decides by squaring certificates, and eigenvalues
-    are computed only where a value is reported or no certificate decides:
-    spectral_radius in _radius_if_unstable (an error message), _is_stable's
-    fallback, validate_iss (rho(A) and rho(A - KC)) and apply_fir_filter
-    (rho(A - KC)); np.linalg.eigvals in spectral_radius and pbh_test's
-    unreachable Kalman block."""
+    """The one stability rule decides by the squaring verdict, and eigenvalues
+    are computed only where a value is reported or the verdict decides
+    nothing: spectral_radius in _is_stable's fallback, the error messages of
+    require_stationary, _companion_iss and solve_lyapunov, validate_iss
+    (rho(A) and rho(A - KC)) and apply_fir_filter (rho(A - KC));
+    np.linalg.eigvals in spectral_radius and pbh_test's unreachable Kalman
+    block."""
     allowed = {
-        "spectral_radius": [(model._radius_if_unstable, 1), (model._is_stable, 1),
+        "spectral_radius": [(model._is_stable, 1), (model.require_stationary, 1),
+                            (model._companion_iss, 1), (model.solve_lyapunov, 1),
                             (model.validate_iss, 2), (filtering.apply_fir_filter, 1)],
         "eigvals": [(model.spectral_radius, 1), (model.pbh_test, 1)],
     }
